@@ -15,10 +15,13 @@ from .potential import (
 )
 from .eigen import (
     Eigenpair, WalcherPoly, EigenSolution, CEigenTriple,
-    walcher_coefficients, real_roots, solve_oriented, count_bound,
+    walcher_coefficients, real_roots, solve_oriented, solve_oriented_batch, count_bound,
     c_eigenpairs, best_rank_one, incremental_rank_one,
 )
-from .topology import CriticalPoint, TopologyReport, classify, full_topology, oracle_critical_points
+from .topology import (
+    CriticalPoint, TopologyReport, classify, full_topology, full_topology_batch,
+    oracle_critical_points,
+)
 from .separatrix import (
     BoundaryEval, KStar, RegionSample,
     boundary_functions, k_star, cusp_location, region_scan,

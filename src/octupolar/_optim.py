@@ -102,19 +102,14 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     return x, lam
 
 
-def canonical_rep(x: np.ndarray, lam: float, tol: float = 1e-9):
-    """Antipodal representative: x3 > 0, ties broken by x1 > 0 then x2 > 0."""
-    if x[2] > tol:
-        flip = False
-    elif x[2] < -tol:
-        flip = True
-    elif x[0] > tol:
-        flip = False
-    elif x[0] < -tol:
-        flip = True
-    else:
-        flip = x[1] < 0.0
-    return (-x, -lam) if flip else (x, lam)
+def canonical_flip(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Rows whose antipode is the class representative.
+
+    The representative has x3 > 0, ties broken by x1 > 0 then x2 > 0.
+    """
+    x3_zero = np.abs(x[:, 2]) <= tol
+    return (x[:, 2] < -tol) | (x3_zero & (x[:, 0] < -tol)) \
+        | (x3_zero & (np.abs(x[:, 0]) <= tol) & (x[:, 1] < 0.0))
 
 
 def class_distance(x: np.ndarray, lx: float, y: np.ndarray, ly: float) -> float:
@@ -139,6 +134,44 @@ def dedupe_classes(points, tol: float = 1e-8):
         else:
             out.append((x, lam, (branch, mult)))
     return out
+
+
+def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
+                mult: np.ndarray, tol: float = 1e-8):
+    """`dedupe_classes` within each cell, vectorized over cells.
+
+    Rows are grouped by ascending ``cell``.  A row merges into the first
+    earlier kept row of its cell closer than ``tol`` in class distance, which
+    then sums the multiplicities.  Returns (keep mask, merged multiplicities).
+    """
+    if cell.size == 0:
+        return np.zeros(0, dtype=bool), mult
+    first = np.r_[True, cell[1:] != cell[:-1]]
+    group = np.cumsum(first) - 1
+    pos = np.arange(cell.size) - np.flatnonzero(first)[group]
+    shape = (group[-1] + 1, pos.max() + 1)
+    xp = np.full(shape + (3,), np.nan)
+    lp = np.full(shape, np.nan)
+    xp[group, pos], lp[group, pos] = x, lam
+    d_same = np.maximum(np.linalg.norm(xp[:, :, None] - xp[:, None], axis=-1),
+                        np.abs(lp[:, :, None] - lp[:, None]))
+    d_flip = np.maximum(np.linalg.norm(xp[:, :, None] + xp[:, None], axis=-1),
+                        np.abs(lp[:, :, None] + lp[:, None]))
+    close = np.minimum(d_same, d_flip) < tol      # padding is NaN, never close
+    close &= np.tri(shape[1], k=-1, dtype=bool)     # only earlier rows absorb later ones
+    if not close.any():
+        return np.ones(cell.size, dtype=bool), mult
+    kept = np.zeros(shape, dtype=bool)
+    kept[group, pos] = True
+    mp = np.zeros(shape, dtype=int)
+    mp[group, pos] = mult
+    for j in np.flatnonzero(close.any(axis=(0, 2))):
+        hit = close[:, j, :j] & kept[:, :j]
+        rows = np.flatnonzero(kept[:, j] & hit.any(axis=1))
+        into = hit[rows].argmax(axis=1)
+        kept[rows, j] = False
+        mp[rows, into] += mp[rows, j]
+    return kept[group, pos], mp[group, pos]
 
 
 def merge_degenerate(a: np.ndarray, points, radius: float = 2e-3,
@@ -198,8 +231,7 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     ok = res <= residual_tol
     x, lam = x[ok], lam[ok]
     # vectorized antipodal canonicalization, then coarse pre-clustering
-    flip = (x[:, 2] < -1e-9) | ((np.abs(x[:, 2]) <= 1e-9) & (x[:, 0] < -1e-9)) \
-        | ((np.abs(x[:, 2]) <= 1e-9) & (np.abs(x[:, 0]) <= 1e-9) & (x[:, 1] < 0.0))
+    flip = canonical_flip(x)
     x[flip] *= -1.0
     lam[flip] *= -1.0
     if x.shape[0] == 0:
@@ -215,8 +247,6 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     points = dedupe_classes(points, tol=1e-6)
     if not continuum:
         points = merge_degenerate(a, points, residual_tol=residual_tol)
-    classes = []
-    for xi, li, _ in points:
-        xr, lr = canonical_rep(xi, li)
-        classes.append((xr, lr))
-    return classes, continuum
+    xs = np.array([xi for xi, _, _ in points])
+    sign = np.where(canonical_flip(xs), -1.0, 1.0)
+    return [(s * xi, s * li) for s, (xi, li, _) in zip(sign, points)], continuum

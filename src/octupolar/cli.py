@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -64,16 +65,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_eigen(args) -> int:
     p = _params(args)
     rep = topology.full_topology(p)
-    sol = eigen.solve_oriented(p)
-    payload = sol.to_report()
-    by_loc = {}
-    for pt in rep.points:
-        by_loc[tuple(np.round(pt.x, 9))] = pt
-    for entry in payload["pairs"]:
-        pt = by_loc.get(tuple(np.round(entry["x"], 9)))
-        if pt is not None:
-            entry["kind"] = pt.kind
-            entry["index"] = pt.index
+    payload = eigen.solve_oriented(p).to_report()
+    # the report lists each solved pair followed by its antipode
+    for entry, pt in zip(payload["pairs"], rep.points[::2], strict=True):
+        entry["kind"] = pt.kind
+        entry["index"] = pt.index
     payload["critical_point_total"] = rep.total if not rep.continuum else payload["critical_point_total"]
     payload["index_sum"] = rep.index_sum
     payload["counts"] = rep.counts
@@ -144,6 +140,18 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads a token such as -1e-05 as a negative number.
+
+    Stock argparse recognizes only -1 and -1.5 as numbers and takes -1e-05
+    for an option, so ``--K -1e-05`` would fail with "expected one argument".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_param_flags(sp, with_k_default=False):
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--chi", type=float, default=-np.pi / 2)
@@ -154,8 +162,8 @@ def _add_param_flags(sp, with_k_default=False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="octupolar",
-                                 description="third-rank tensor analysis toolkit")
+    ap = _Parser(prog="octupolar",
+                 description="third-rank tensor analysis toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("decompose", help="symmetry and harmonic decomposition of a tensor")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .potential import OrientedParams, canonicalize_params, from_rho_chi_K, rotation_z
+from .potential import OrientedParams, canonicalize_params, oriented_arrays, rotation_z
 from .tensors import as_array
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "walcher_split",
     "real_roots",
     "solve_oriented",
+    "solve_oriented_batch",
     "count_bound",
     "c_eigenpairs",
     "best_rank_one",
@@ -45,7 +46,12 @@ _TOL_CHI = 1e-7          # membership of the chi symmetry planes and the axis;
                          # precision, while the plane solver plus one Newton
                          # polish recovers the true points
 _TOL_SNAP = 1e-12        # relative snap of near-zero discriminants
+_POLISH_TOL = 1e-11      # residual above which a solution gets Newton-polished
 _RESIDUAL_TOL = 1e-9
+
+#: cells per vectorized pass; bounds the padded (cells, P, P) dedupe arrays
+BLOCK_CELLS = 128
+_POLE = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -371,9 +377,11 @@ def _solve_generic(rho: float, chi: float, k: float):
         return float(np.polyval(np.abs(cf)[::-1], abs(s))) + 1e-300
 
     s_plus = np.tan(chi) + 1.0 / co
-    w_plus_small = abs(_pv(coeffs, s_plus)) <= 1e-10 * _pvscale(coeffs, s_plus)
+    # on the rim the polynomial may vanish at s_plus, a zero of the quotient denominator
+    rim_root = abs(rho - 2.0) <= 1e-9 \
+        and abs(_pv(coeffs, s_plus)) <= 1e-10 * _pvscale(coeffs, s_plus)
     work = coeffs
-    if abs(rho - 2.0) <= 1e-9 and w_plus_small:
+    if rim_root:
         # the boundary keeps a permanent root annihilating the quotient
         # denominator; divide it out so its genuine neighbours stay sharp
         deflated = np.zeros(6)
@@ -393,13 +401,13 @@ def _solve_generic(rho: float, chi: float, k: float):
     if lo > 0:
         out.append(_entry_from_st(0.0, t_of(0.0), "walcher", lo))
     red = work[lo:hi] / scale
-    roots = np.roots(red[::-1]) if red.size > 1 else np.array([])
+    roots = np.roots(red[::-1]).tolist() if red.size > 1 else []
     wval = lambda s: _pv(work, s)
     wscale = lambda s: _pvscale(work, s)
-    dercoeffs = np.array([i * work[i] for i in range(1, len(work))])
-    der2coeffs = np.array([i * dercoeffs[i] for i in range(1, len(dercoeffs))])
 
     def stationary_near(s0: float) -> float:
+        dercoeffs = np.array([i * work[i] for i in range(1, len(work))])
+        der2coeffs = np.array([i * dercoeffs[i] for i in range(1, len(dercoeffs))])
         for _ in range(40):
             dp = float(np.polyval(dercoeffs[::-1], s0))
             ddp = float(np.polyval(der2coeffs[::-1], s0))
@@ -415,7 +423,7 @@ def _solve_generic(rho: float, chi: float, k: float):
     # genuine double root when the polynomial nearly vanishes at the nearby
     # stationary point of itself
     n_roots = len(roots)
-    used = np.zeros(n_roots, dtype=bool)
+    used = [False] * n_roots
     clustered: list[list] = []
     for i in range(n_roots):
         if used[i]:
@@ -438,7 +446,7 @@ def _solve_generic(rho: float, chi: float, k: float):
             clustered.append([float(roots[i].real), 1])
     clustered.sort(key=lambda rm: rm[0])
     for r, m in clustered:
-        if abs(rho - 2.0) <= 1e-9 and w_plus_small and abs(r - s_plus) <= 1e-8 * (1.0 + abs(s_plus)):
+        if rim_root and abs(r - s_plus) <= 1e-8 * (1.0 + abs(s_plus)):
             continue  # spurious root annihilating the quotient denominator
         if m >= 2:
             qv = rho * (co * (r * r - 1.0) - 2.0 * r * si)
@@ -461,15 +469,8 @@ def _solve_generic(rho: float, chi: float, k: float):
     return out, False
 
 
-def solve_oriented(p: OrientedParams, polish: bool = True) -> EigenSolution:
-    """All stored eigenpair classes of the oriented tensor at ``p``.
-
-    Parameters anywhere in the cylinder (rho in [0, 2], chi in [-pi, pi],
-    any real K) are first reduced to the canonical sector; solutions are
-    mapped back to the requested frame.  The poles are always included.
-    The continuum flag marks the two axisymmetric parameter points, whose
-    isolated classes are still listed.
-    """
+def _branch_entries(p: OrientedParams):
+    """Canonical-frame map and raw entries of one parameter point, pole first."""
     canon, op, _mirrored = canonicalize_params(p.rho, p.chi, p.bigk)
     rho, chi, k = canon.rho, canon.chi, canon.bigk
     if rho <= _TOL_CHI and k <= _TOL_PLANE:
@@ -487,36 +488,137 @@ def solve_oriented(p: OrientedParams, polish: bool = True) -> EigenSolution:
         entries, continuum = _solve_chi_pi6(rho, k)
     else:
         entries, continuum = _solve_generic(rho, chi, k)
+    return op, [(_POLE, "pole", 1)] + list(entries), continuum
 
-    a_user = from_rho_chi_K(p).array
-    back = op.T
-    raw = [(np.array([0.0, 0.0, 1.0]), "pole", 1)] + list(entries)
-    points = []
-    for x, branch, mult in raw:
-        xu = back @ x
-        xu = xu / np.linalg.norm(xu)
-        lam = float(np.einsum("ijk,i,j,k->", a_user, xu, xu, xu))
-        points.append((xu, lam, (branch, mult)))
-    points = _optim.dedupe_classes(points, tol=1e-8)
 
-    pairs = []
-    for x, lam, (branch, mult) in points:
-        res = float(np.max(np.abs(np.einsum("ijk,jk->i", a_user, np.outer(x, x)) - lam * x)))
-        if res > 1e-11 and polish:
-            xr, lr = _optim.newton_refine(a_user, x[None, :], np.array([lam]), iters=30)
-            x, lam = xr[0], float(lr[0])
-            res = float(np.max(np.abs(np.einsum("ijk,jk->i", a_user, np.outer(x, x)) - lam * x)))
-        if res > _RESIDUAL_TOL:
-            raise RuntimeError(f"eigenpair residual {res:.2e} exceeds tolerance on branch {branch}")
-        xc, lc = _optim.canonical_rep(x, lam)
-        pairs.append(Eigenpair(lam=float(lc), x=xc, branch=branch, multiplicity_hint=mult))
+def stationarity_residual(a: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Max-norm residual of A x^2 = lam x with one tensor per row, a of shape (n, 3, 3, 3)."""
+    return np.max(np.abs(np.einsum("rijk,rj,rk->ri", a, x, x) - lam[:, None] * x), axis=1)
+
+
+@dataclass
+class SolvedBlock:
+    """Eigenpair classes of a block of cells as row arrays.
+
+    Rows are grouped by ascending ``cell`` and ordered within a cell as in
+    `EigenSolution.pairs`.  A cell with an error message has no rows.
+    """
+
+    params: list
+    arrays: np.ndarray          # (cells, 3, 3, 3) oriented tensors
+    continuum: np.ndarray       # (cells,)
+    errors: list                # per cell: None or the failure message
+    cell: np.ndarray            # (rows,)
+    x: np.ndarray               # (rows, 3) canonical representatives
+    lam: np.ndarray
+    branch: np.ndarray          # object array of branch tags
+    mult: np.ndarray
+
+    def rows(self, i: int) -> range:
+        lo, hi = np.searchsorted(self.cell, [i, i + 1])
+        return range(lo, hi)
+
+    def raise_first_error(self) -> None:
+        msg = next((e for e in self.errors if e is not None), None)
+        if msg is not None:
+            raise RuntimeError(msg)
+
+    def solutions(self) -> list:
+        return [EigenSolution(params=p, continuum=bool(self.continuum[i]), pairs=tuple(
+                    Eigenpair(lam=float(self.lam[r]), x=self.x[r], branch=self.branch[r],
+                              multiplicity_hint=int(self.mult[r])) for r in self.rows(i)))
+                for i, p in enumerate(self.params)]
+
+
+def solve_block(params, polish: bool = True) -> SolvedBlock:
+    """Solve a block of parameter points in one vectorized pass.
+
+    The branch solvers run per cell; back-rotation, dedupe, residual check,
+    polish, canonicalization and ordering run once over all rows.  A cell
+    whose residual stays above tolerance gets an error message naming its
+    parameters and classes instead of rows.
+    """
+    params = list(params)
+    n = len(params)
+    ops = np.empty((n, 3, 3))
+    continuum = np.zeros(n, dtype=bool)
+    xs, branch, mult, cell = [], [], [], []
+    for i, p in enumerate(params):
+        ops[i], entries, continuum[i] = _branch_entries(p)
+        for x, b, m in entries:
+            xs.append(x)
+            branch.append(b)
+            mult.append(m)
+            cell.append(i)
+    cell, mult, branch = np.array(cell), np.array(mult), np.array(branch, dtype=object)
+    x = np.einsum("rji,rj->ri", ops[cell], np.array(xs))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    arrays = oriented_arrays(params)
+    lam = np.einsum("rijk,ri,rj,rk->r", arrays[cell], x, x, x)
+    keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
+    cell, x, lam, mult, branch = cell[keep], x[keep], lam[keep], mult[keep], branch[keep]
+
+    res = stationarity_residual(arrays[cell], x, lam)
+    if polish:
+        rough = res > _POLISH_TOL
+        for i in np.unique(cell[rough]):
+            rows = np.flatnonzero(rough & (cell == i))
+            x[rows], lam[rows] = _optim.newton_refine(arrays[i], x[rows], lam[rows], iters=30)
+            res[rows] = stationarity_residual(arrays[cell[rows]], x[rows], lam[rows])
+    errors = [None] * n
+    for r in np.flatnonzero(res > _RESIDUAL_TOL)[::-1]:   # the first bad row of a cell wins
+        i = cell[r]
+        found = ", ".join(f"{b} lam={l:.6g}" for b, l in zip(branch[cell == i], lam[cell == i]))
+        errors[i] = (f"eigenpair residual {res[r]:.2e} exceeds tolerance on branch {branch[r]} "
+                     f"at {params[i]}; classes found: {found}")
+    ok = np.array([e is None for e in errors])[cell]
+    cell, x, lam, mult, branch = cell[ok], x[ok], lam[ok], mult[ok], branch[ok]
+
+    flip = _optim.canonical_flip(x)
+    x[flip] *= -1.0
+    lam[flip] *= -1.0
     # a polish step may have pulled plane-adjacent duplicates together
-    final = _optim.dedupe_classes([(q.x, q.lam, (q.branch, q.multiplicity_hint))
-                                   for q in pairs], tol=1e-8)
-    pairs = [Eigenpair(lam=float(l), x=x, branch=b, multiplicity_hint=m)
-             for x, l, (b, m) in final]
-    pairs.sort(key=lambda e: (-e.lam, -round(e.x[0], 12), -round(e.x[1], 12)))
-    return EigenSolution(params=p, pairs=tuple(pairs), continuum=continuum)
+    keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
+    # by descending lam, then x1, x2; rounding keeps symmetry-equal classes
+    # in the same order whatever their last-digit noise
+    order = np.flatnonzero(keep)
+    order = order[np.lexsort((-np.round(x[order, 1], 12), -np.round(x[order, 0], 12),
+                              -np.round(lam[order], 12), cell[order]))]
+    return SolvedBlock(params=params, arrays=arrays, continuum=continuum, errors=errors,
+                       cell=cell[order], x=x[order], lam=lam[order], branch=branch[order],
+                       mult=mult[order])
+
+
+def solved_blocks(params, polish: bool = True):
+    """`solve_block` over consecutive blocks of at most BLOCK_CELLS cells."""
+    params = list(params)
+    for start in range(0, len(params), BLOCK_CELLS):
+        yield solve_block(params[start:start + BLOCK_CELLS], polish)
+
+
+def solve_oriented_batch(params, polish: bool = True) -> list[EigenSolution]:
+    """`solve_oriented` for each of a sequence of parameter points.
+
+    Raises the error of the first failing point, as a loop over
+    `solve_oriented` would.
+    """
+    out = []
+    for block in solved_blocks(params, polish):
+        block.raise_first_error()
+        out += block.solutions()
+    return out
+
+
+def solve_oriented(p: OrientedParams, polish: bool = True) -> EigenSolution:
+    """All stored eigenpair classes of the oriented tensor at ``p``.
+
+    Parameters anywhere in the cylinder (rho in [0, 2], chi in [-pi, pi],
+    any real K) are first reduced to the canonical sector; solutions are
+    mapped back to the requested frame.  The poles are always included.
+    The continuum flag marks the two axisymmetric parameter points, whose
+    isolated classes are still listed.
+    """
+    return solve_oriented_batch([p], polish)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "eval_potential",
     "gradient",
     "from_rho_chi_K",
+    "oriented_arrays",
     "params_from_tensor",
     "orient",
     "sample_grid",
@@ -90,6 +92,9 @@ class OrientedParams:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.rho, self.chi, self.bigk)
 
+    def __str__(self) -> str:
+        return f"(rho, chi, K) = ({self.rho!r}, {self.chi!r}, {self.bigk!r})"
+
 
 def from_rho_chi_K(p: OrientedParams) -> OctupolarTensor:
     """Oriented tensor with the given reduced parameters."""
@@ -98,6 +103,25 @@ def from_rho_chi_K(p: OrientedParams) -> OctupolarTensor:
         alpha2=p.bigk,
         alpha3=1.0,
         beta3=0.5 * (p.rho * np.sin(p.chi) - 1.0))
+
+
+# component of the oriented tensor held by each of the 27 entries: 0 alpha0,
+# 1 alpha2 = K, 2 alpha3 = 1, 3 beta3, 4 -(alpha2), 5 -(alpha3 + beta3), 6 zero
+_ORIENTED_SLOT = np.full((3, 3, 3), 6)
+for _slot, _ijk in enumerate(((0, 1, 2), (1, 1, 1), (2, 2, 2), (2, 0, 0), (0, 0, 1), (1, 1, 2))):
+    for _perm in permutations(_ijk):
+        _ORIENTED_SLOT[_perm] = _slot
+
+
+def oriented_arrays(params) -> np.ndarray:
+    """Component arrays (N, 3, 3, 3) of the oriented tensors of a parameter sequence."""
+    rho = np.array([p.rho for p in params], dtype=float)
+    chi = np.array([p.chi for p in params], dtype=float)
+    k = np.array([p.bigk for p in params], dtype=float)
+    beta3 = 0.5 * (rho * np.sin(chi) - 1.0)
+    comps = np.stack([0.5 * rho * np.cos(chi), k, np.ones_like(k), beta3,
+                      -k, -(1.0 + beta3), np.zeros_like(k)], axis=1)
+    return comps[:, _ORIENTED_SLOT]
 
 
 def params_from_tensor(t, tol: float = 1e-9) -> OrientedParams:
@@ -153,21 +177,21 @@ def canonicalize_params(rho: float, chi: float, bigk: float,
         if k_m < -tol:
             continue
         k_m = max(k_m, 0.0)
-        rot = rotation_z(m * np.pi / 3.0)
         if _SECTOR_LO - 1e-9 <= chi_m <= _SECTOR_HI + 1e-9:
-            cand = (rho, min(max(chi_m, _SECTOR_LO), _SECTOR_HI), k_m, rot, False)
+            mirrored = False
         elif _SECTOR_HI < chi_m <= np.pi / 6 + 1e-9:
-            chi_mm = -chi_m - np.pi / 3.0
-            cand = (rho, min(max(chi_mm, _SECTOR_LO), _SECTOR_HI), k_m, MIRROR @ rot, True)
+            chi_m, mirrored = -chi_m - np.pi / 3.0, True
         else:
             continue
-        key = (round(cand[1], 12), round(cand[2], 12), cand[4])
+        cand = (min(max(chi_m, _SECTOR_LO), _SECTOR_HI), k_m, mirrored, m)
+        key = (round(cand[0], 12), round(cand[1], 12), mirrored)
         if best is None or key < best[0]:
             best = (key, cand)
     if best is None:
         raise RuntimeError("sector reduction failed; parameters out of range")
-    _, (r, c, k, op, mirrored) = best
-    return OrientedParams(r, c, k), op, mirrored
+    _, (c, k, mirrored, m) = best
+    op = rotation_z(m * np.pi / 3.0)
+    return OrientedParams(rho, c, k), (MIRROR @ op if mirrored else op), mirrored
 
 
 @dataclass(frozen=True)

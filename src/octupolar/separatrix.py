@@ -13,15 +13,14 @@ chi = -arcsin(1/rho), K = h(rho).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import real_roots, walcher_split
 from .potential import OrientedParams
-from .topology import full_topology
+# full_topology stays bound here: bench/tests checks that the tracer patches this binding
+from .topology import full_topology, iter_full_topology  # noqa: F401
 
 __all__ = ["BoundaryEval", "KStar", "RegionSample", "boundary_functions",
            "k_star", "cusp_location", "region_scan", "scan_csv_lines",
@@ -331,19 +330,14 @@ def cusp_location(chi: float, bracket: tuple[float, float] = (1.0 + 1e-6, 2.0)) 
     return rho_c, k_star(rho_c, chi).k
 
 
-def _count_at(rho: float, chi: float, k: float) -> int:
-    rep = full_topology(OrientedParams(rho, chi, k))
-    return -1 if rep.continuum else rep.total
-
-
 def region_scan(chi: float, rho_steps: int, k_max: float, k_steps: int,
-                rho_max: float = 2.0, on_separatrix: bool = False,
-                threads: int | None = None) -> list[RegionSample]:
+                rho_max: float = 2.0, on_separatrix: bool = False) -> list[RegionSample]:
     """Critical-point counts over a midpoint grid at fixed chi.
 
     Midpoint sampling keeps the grid off the measure-zero separatrix; with
     ``on_separatrix`` the K column is replaced by the separatrix value at
-    each rho (g, f, or the interior K*), sampling the boundary itself.
+    each rho (g, f, or the interior K*), sampling the boundary itself.  All
+    cells go through `iter_full_topology` in one call, one block at a time.
     """
     if rho_steps < 2 or k_steps < 2:
         raise ValueError("grid steps must be at least 2")
@@ -360,15 +354,9 @@ def region_scan(chi: float, rho_steps: int, k_max: float, k_steps: int,
     else:
         ks = (np.arange(k_steps) + 0.5) * k_max / k_steps
         cells = [(float(r), float(k)) for r in rhos for k in ks]
-    if threads is None:
-        threads = int(os.environ.get("OCTO_THREADS", "0")) or None
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            counts = list(ex.map(lambda rk: _count_at(rk[0], chi, rk[1]), cells))
-    else:
-        counts = [_count_at(r, chi, k) for r, k in cells]
-    return [RegionSample(rho=r, chi=chi, bigk=k, count=n)
-            for (r, k), n in zip(cells, counts)]
+    reports = iter_full_topology([OrientedParams(r, chi, k) for r, k in cells])
+    return [RegionSample(rho=r, chi=chi, bigk=k, count=-1 if rep.continuum else rep.total)
+            for (r, k), rep in zip(cells, reports)]
 
 
 def scan_csv_lines(samples: list[RegionSample]):

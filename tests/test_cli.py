@@ -39,6 +39,34 @@ class TestEigen:
         lam_max = max(abs(p["lambda"]) for p in rep["pairs"])
         assert abs(lam_max - 1.0) < 1e-9
 
+    def test_every_pair_classified(self, capsys):
+        _, out, _ = run(capsys, "eigen", "--rho", "0", "--K", "0.7071067811865476")
+        pairs = json.loads(out)["pairs"]
+        assert len(pairs) == 7
+        assert all(set(p) == {"lambda", "x", "branch", "multiplicity", "kind", "index"}
+                   for p in pairs)
+        # one representative per antipodal class: 4 maxima, 4 minima, 6 saddles in all
+        assert sorted(p["kind"] for p in pairs) == ["maximum"] + ["minimum"] * 3 + ["saddle"] * 3
+
+    def test_monkey_saddle_report(self, capsys):
+        code, out, _ = run(capsys, "eigen", "--rho", "1", "--chi", "-1.5707963267948966",
+                           "--K", "0")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["critical_point_total"] == 8 and rep["index_sum"] == 2
+        assert rep["counts"]["monkey_saddle"] == 2
+        monkey = [p for p in rep["pairs"] if p["kind"] == "monkey_saddle"]
+        assert len(monkey) == 1 and monkey[0]["index"] == -2
+        assert all("kind" in p and "index" in p for p in rep["pairs"])
+
+    def test_negative_exponent_values(self, capsys):
+        code, out, err = run(capsys, "eigen", "--rho", "0.5", "--chi", "-1.0", "--K", "-1e-05")
+        assert code == 0, err
+        assert json.loads(out)["params"]["K"] == -1e-05
+        code, out, err = run(capsys, "eigen", "--rho", "0.5", "--chi", "-1.5e0", "--K", "0.3")
+        assert code == 0, err
+        assert json.loads(out)["params"]["chi"] == -1.5
+
     def test_out_of_range(self, capsys):
         code, _, err = run(capsys, "eigen", "--rho", "3.0", "--K", "0.5")
         assert code == 2
