@@ -21,8 +21,17 @@ def potential_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def residual_batch(a: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Max-norm residual of the stationarity system A x^2 = lam x, per row."""
-    return np.max(np.abs(np.einsum("ijk,nj,nk->ni", a, x, x) - lam[:, None] * x), axis=1)
+    """Max-norm residual of the stationarity system A x^2 = lam x, per row.
+
+    ``a`` is one tensor (3, 3, 3) for all rows or one per row (n, 3, 3, 3).
+    """
+    return np.max(np.abs(np.einsum("...ijk,...j,...k->...i", a, x, x) - lam[:, None] * x), axis=1)
+
+
+def surface_gradient(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of the cubic form projected onto the tangent planes at the rows of x."""
+    grad = 3.0 * np.einsum("ijk,nj,nk->ni", a, x, x)
+    return grad - np.einsum("ni,ni->n", grad, x)[:, None] * x
 
 
 def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
@@ -193,10 +202,8 @@ def merge_degenerate(a: np.ndarray, points, radius: float = 2e-3,
                     if nrm < 1e-12:
                         continue
                     mid /= nrm
-                    lmid = float(np.einsum("ijk,i,j,k->", a, mid, mid, mid))
-                    res = np.max(np.abs(np.einsum("ijk,jk->i", a, np.outer(mid, mid))
-                                        - lmid * mid))
-                    if res < residual_tol:
+                    lmid = np.einsum("ijk,i,j,k->", a, mid, mid, mid)
+                    if residual_batch(a, mid[None], lmid[None])[0] < residual_tol:
                         merged = True
                         break
             if merged:
@@ -221,9 +228,7 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     sign = np.ones(samples)
     sign[half:] = -1.0
     for _ in range(gradient_presteps):
-        grad = 3.0 * np.einsum("ijk,nj,nk->ni", a, x, x)
-        sgrad = grad - np.einsum("ni,ni->n", grad, x)[:, None] * x
-        x = x + 0.1 * sign[:, None] * sgrad
+        x = x + 0.1 * sign[:, None] * surface_gradient(a, x)
         x /= np.linalg.norm(x, axis=1)[:, None]
     lam = potential_batch(a, x)
     x, lam = newton_refine(a, x, lam)

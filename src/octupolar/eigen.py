@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from . import _optim
 from .potential import OrientedParams, canonicalize_params, oriented_arrays, rotation_z
@@ -86,10 +87,6 @@ class WalcherPoly:
     def __call__(self, s):
         return np.polyval(self.s_coeffs[::-1], s)
 
-    def derivative_coeffs(self) -> np.ndarray:
-        c = self.s_coeffs
-        return np.array([i * c[i] for i in range(1, len(c))])
-
 
 def walcher_split(rho: float, chi: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient arrays (b, c) with S_i = K^2 b_i + c_i, ascending in s."""
@@ -142,22 +139,11 @@ def real_roots(coeffs, realness: float = 1e-8, cluster: float = 1e-6):
     lo = 0
     while lo < hi - 1 and abs(c[lo]) <= 1e-12:
         lo += 1
-    out = []
-    if lo > 0:
-        out.append([0.0, lo])
+    out = [(0.0, lo)] if lo > 0 else []
     poly = c[lo:hi]
     if poly.size > 1:
-        roots = np.roots(poly[::-1])
-        reals = sorted(float(r.real) for r in roots
-                       if abs(r.imag) <= realness * (1.0 + abs(r.real)))
-        for r in reals:
-            if out and out[-1][1] > 0 and abs(r - out[-1][0] * 1.0) <= cluster * (1.0 + abs(r)) \
-                    and not (out[-1][0] == 0.0 and lo > 0 and len(out) == 1 and abs(r) > cluster):
-                k = out[-1][1]
-                out[-1][0] = (out[-1][0] * k + r) / (k + 1)
-                out[-1][1] = k + 1
-            else:
-                out.append([r, 1])
+        out += [(float(r.real), 1) for r in np.roots(poly[::-1])
+                if abs(r.imag) <= realness * (1.0 + abs(r.real))]
     out.sort(key=lambda rm: rm[0])
     merged = []
     for r, m in out:
@@ -218,7 +204,8 @@ def _quad_roots(a: float, b: float, c: float, snap: float = _TOL_SNAP):
 
     Returns (roots, multiplicity) pairs; a discriminant within snap of zero
     collapses to a double root, which keeps exactly-on-boundary parameter
-    evaluations from losing their coalesced solutions to round-off.
+    evaluations from losing their coalesced solutions to round-off.  With
+    ``snap=0.0`` only an exactly zero discriminant gives a double root.
     """
     if abs(a) <= 1e-300:
         if abs(b) <= 1e-300:
@@ -232,6 +219,16 @@ def _quad_roots(a: float, b: float, c: float, snap: float = _TOL_SNAP):
         return []
     sq = np.sqrt(disc)
     return [((-b - sq) / (2.0 * a), 1), ((-b + sq) / (2.0 * a), 1)]
+
+
+def _deflate(a: np.ndarray, root: float) -> np.ndarray:
+    """Synthetic division of an ascending-coefficient polynomial by (s - root)."""
+    out = np.zeros(len(a) - 1)
+    carry = 0.0
+    for i in range(len(a) - 1, 0, -1):
+        carry = a[i] + root * carry
+        out[i - 1] = carry
+    return out
 
 
 def _solve_axis(k: float):
@@ -384,12 +381,7 @@ def _solve_generic(rho: float, chi: float, k: float):
     if rim_root:
         # the boundary keeps a permanent root annihilating the quotient
         # denominator; divide it out so its genuine neighbours stay sharp
-        deflated = np.zeros(6)
-        carry = 0.0
-        for i in range(6, 0, -1):
-            carry = work[i] + s_plus * carry
-            deflated[i - 1] = carry
-        work = deflated
+        work = _deflate(work, s_plus)
         scale = np.max(np.abs(work))
     deg6_lost = abs(coeffs[6]) <= 1e-10 * np.max(np.abs(coeffs))
     hi = len(work)
@@ -406,8 +398,8 @@ def _solve_generic(rho: float, chi: float, k: float):
     wscale = lambda s: _pvscale(work, s)
 
     def stationary_near(s0: float) -> float:
-        dercoeffs = np.array([i * work[i] for i in range(1, len(work))])
-        der2coeffs = np.array([i * dercoeffs[i] for i in range(1, len(dercoeffs))])
+        dercoeffs = polyder(work)
+        der2coeffs = polyder(work, 2)
         for _ in range(40):
             dp = float(np.polyval(dercoeffs[::-1], s0))
             ddp = float(np.polyval(der2coeffs[::-1], s0))
@@ -491,11 +483,6 @@ def _branch_entries(p: OrientedParams):
     return op, [(_POLE, "pole", 1)] + list(entries), continuum
 
 
-def stationarity_residual(a: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Max-norm residual of A x^2 = lam x with one tensor per row, a of shape (n, 3, 3, 3)."""
-    return np.max(np.abs(np.einsum("rijk,rj,rk->ri", a, x, x) - lam[:, None] * x), axis=1)
-
-
 @dataclass
 class SolvedBlock:
     """Eigenpair classes of a block of cells as row arrays.
@@ -558,13 +545,13 @@ def solve_block(params, polish: bool = True) -> SolvedBlock:
     keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
     cell, x, lam, mult, branch = cell[keep], x[keep], lam[keep], mult[keep], branch[keep]
 
-    res = stationarity_residual(arrays[cell], x, lam)
+    res = _optim.residual_batch(arrays[cell], x, lam)
     if polish:
         rough = res > _POLISH_TOL
         for i in np.unique(cell[rough]):
             rows = np.flatnonzero(rough & (cell == i))
             x[rows], lam[rows] = _optim.newton_refine(arrays[i], x[rows], lam[rows], iters=30)
-            res[rows] = stationarity_residual(arrays[cell[rows]], x[rows], lam[rows])
+            res[rows] = _optim.residual_batch(arrays[cell[rows]], x[rows], lam[rows])
     errors = [None] * n
     for r in np.flatnonzero(res > _RESIDUAL_TOL)[::-1]:   # the first bad row of a cell wins
         i = cell[r]

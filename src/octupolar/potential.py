@@ -19,13 +19,13 @@ chi -> -chi - pi/3 is a mirror reflection (fixed point chi = -pi/6).
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from . import _optim
-from .tensors import OctupolarTensor, as_array, symmetrize
+from .tensors import _SYM_SLOT, OctupolarTensor, as_array, symmetrize
 
 __all__ = [
     "OrientedParams",
@@ -105,23 +105,17 @@ def from_rho_chi_K(p: OrientedParams) -> OctupolarTensor:
         beta3=0.5 * (p.rho * np.sin(p.chi) - 1.0))
 
 
-# component of the oriented tensor held by each of the 27 entries: 0 alpha0,
-# 1 alpha2 = K, 2 alpha3 = 1, 3 beta3, 4 -(alpha2), 5 -(alpha3 + beta3), 6 zero
-_ORIENTED_SLOT = np.full((3, 3, 3), 6)
-for _slot, _ijk in enumerate(((0, 1, 2), (1, 1, 1), (2, 2, 2), (2, 0, 0), (0, 0, 1), (1, 1, 2))):
-    for _perm in permutations(_ijk):
-        _ORIENTED_SLOT[_perm] = _slot
-
-
 def oriented_arrays(params) -> np.ndarray:
     """Component arrays (N, 3, 3, 3) of the oriented tensors of a parameter sequence."""
     rho = np.array([p.rho for p in params], dtype=float)
     chi = np.array([p.chi for p in params], dtype=float)
     k = np.array([p.bigk for p in params], dtype=float)
     beta3 = 0.5 * (rho * np.sin(chi) - 1.0)
-    comps = np.stack([0.5 * rho * np.cos(chi), k, np.ones_like(k), beta3,
-                      -k, -(1.0 + beta3), np.zeros_like(k)], axis=1)
-    return comps[:, _ORIENTED_SLOT]
+    zero = np.zeros_like(k)
+    # alpha0..alpha3, beta1..beta3, gamma1..gamma3 of from_rho_chi_K
+    comps = np.stack([0.5 * rho * np.cos(chi), zero, k, np.ones_like(k), zero, zero, beta3,
+                      zero, -k, -(1.0 + beta3)], axis=1)
+    return comps[:, _SYM_SLOT]
 
 
 def params_from_tensor(t, tol: float = 1e-9) -> OrientedParams:
@@ -329,7 +323,6 @@ def sample_grid(t, grid: SphereGrid, mode: str = "sphere") -> np.ndarray:
     skip grid nodes outside the unit disk.
     """
     a = as_array(t)
-    rows = []
     if mode == "sphere":
         theta, phi = grid.angles()
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
@@ -337,37 +330,21 @@ def sample_grid(t, grid: SphereGrid, mode: str = "sphere") -> np.ndarray:
         x = np.stack([np.cos(tt) * np.cos(pp), np.sin(tt) * np.cos(pp), np.sin(pp)], axis=1)
         vals = _optim.potential_batch(a, x)
         return np.column_stack([tt, pp, x, vals])
-    if mode in ("north", "south"):
-        sign = 1.0 if mode == "north" else -1.0
-        u = np.linspace(-1.0, 1.0, grid.theta_steps)
-        v = np.linspace(-1.0, 1.0, grid.phi_steps)
-        for ui in u:
-            for vi in v:
-                r2 = ui * ui + vi * vi
-                if r2 > 1.0:
-                    continue
-                x = np.array([ui, vi, sign * np.sqrt(1.0 - r2)])
-                rows.append((np.arctan2(x[1], x[0]), np.arcsin(np.clip(x[2], -1, 1)),
-                             *x, eval_potential(a, x)))
-        return np.array(rows) if rows else np.empty((0, 6))
-    if mode == "contour":
-        u = np.linspace(-1.0, 1.0, grid.theta_steps)
-        w = np.linspace(-1.0, 1.0, grid.phi_steps)
-        for ui in u:
-            for wi in w:
-                r2 = ui * ui + wi * wi
-                if r2 > 1.0:
-                    continue
-                x = np.array([ui, np.sqrt(1.0 - r2), wi])
-                rows.append((np.arctan2(x[1], x[0]), np.arcsin(np.clip(x[2], -1, 1)),
-                             *x, eval_potential(a, x)))
-        return np.array(rows) if rows else np.empty((0, 6))
-    raise ValueError(f"unknown grid mode {mode!r}")
+    if mode not in ("north", "south", "contour"):
+        raise ValueError(f"unknown grid mode {mode!r}")
+    u, v = np.meshgrid(np.linspace(-1.0, 1.0, grid.theta_steps),
+                       np.linspace(-1.0, 1.0, grid.phi_steps), indexing="ij")
+    r2 = (u * u + v * v).ravel()
+    inside = r2 <= 1.0
+    u, v, h = u.ravel()[inside], v.ravel()[inside], np.sqrt(1.0 - r2[inside])
+    x = np.stack({"north": (u, v, h), "south": (u, v, -h), "contour": (u, h, v)}[mode], axis=1)
+    return np.column_stack([np.arctan2(x[:, 1], x[:, 0]), np.arcsin(np.clip(x[:, 2], -1, 1)),
+                            x, _optim.potential_batch(a, x)])
 
 
 def write_grid_csv(rows: np.ndarray, stream) -> None:
     """Write grid rows as CSV with a mandatory header, 17 significant digits."""
-    own = isinstance(stream, (str, bytes))
+    own = isinstance(stream, (str, bytes, os.PathLike))
     f = open(stream, "w", newline="\n") if own else stream
     try:
         f.write("theta,phi,x1,x2,x3,phi_value\n")

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
-from .eigen import real_roots, walcher_split
+from .eigen import _deflate, _quad_roots, real_roots, walcher_split
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import full_topology, iter_full_topology  # noqa: F401
@@ -82,25 +83,6 @@ def boundary_functions(rho: float, chi: float) -> BoundaryEval:
                         kappa=kappa_function(rho, chi), h=h_function(rho))
 
 
-def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
-def _polyder(a: np.ndarray) -> np.ndarray:
-    return np.array([i * a[i] for i in range(1, len(a))])
-
-
-def _deflate(a: np.ndarray, root: float) -> np.ndarray:
-    """Synthetic division of an ascending-coefficient polynomial by (s - root)."""
-    n = len(a)
-    out = np.zeros(n - 1)
-    carry = 0.0
-    for i in range(n - 1, 0, -1):
-        carry = a[i] + root * carry
-        out[i - 1] = carry
-    return out
-
-
 def _count_real(coeffs: np.ndarray) -> int:
     scale = np.max(np.abs(coeffs))
     if scale == 0.0:
@@ -119,7 +101,7 @@ def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
     bb = 2.0 * b[1] * c[1] - 4.0 * (b[2] * c[0] + c[2] * b[0])
     cc = c[1] * c[1] - 4.0 * c[2] * c[0]
     best = None
-    for k2, _m in _quad_roots_list(aa, bb, cc):
+    for k2, _m in _quad_roots(aa, bb, cc, snap=0.0):
         if k2 <= 0.0:
             continue
         s1 = k2 * b[1] + c[1]
@@ -138,16 +120,6 @@ def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
         if best is None or cand[0] > best[0]:
             best = cand
     return best
-
-
-def _quad_roots_list(a: float, b: float, c: float):
-    if a == 0.0:
-        return [] if b == 0.0 else [(-c / b, 1)]
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = np.sqrt(disc)
-    return [((-b - sq) / (2.0 * a), 1), ((-b + sq) / (2.0 * a), 1)]
 
 
 def _bisect_transition(b: np.ndarray, c: np.ndarray, refine):
@@ -217,10 +189,10 @@ def k_star(rho: float, chi: float) -> KStar:
             # a genuine root collides with the permanent boundary root; the
             # vault terminates here (K -> 0 as rho -> 2)
             extra.append((float(np.sqrt(max(0.0, -cv / bv))), float(s_plus)))
-    bp, cp = _polyder(b), _polyder(c)
-    det = _polymul(b, cp) - _polymul(bp, c)
+    bp, cp = polyder(b), polyder(c)
+    det = np.convolve(b, cp) - np.convolve(bp, c)
     scale = np.max(np.abs(det))
-    bpp, cpp = _polyder(bp), _polyder(cp)
+    bpp, cpp = polyder(b, 2), polyder(c, 2)
 
     def refine(s0: float, k2: float):
         """2D Newton on (W, W') = 0 in the unknowns (s, K^2)."""

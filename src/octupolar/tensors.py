@@ -135,34 +135,27 @@ class Tensor3:
         return cls(comps, frame_label=frame_label)
 
 
+#: The ten components of a symmetric tensor and one entry holding each.
+_SYM_ENTRIES = (("alpha0", (0, 1, 2)), ("alpha1", (0, 0, 0)), ("alpha2", (1, 1, 1)),
+                ("alpha3", (2, 2, 2)), ("beta1", (0, 1, 1)), ("beta2", (1, 2, 2)),
+                ("beta3", (2, 0, 0)), ("gamma1", (0, 2, 2)), ("gamma2", (0, 0, 1)),
+                ("gamma3", (1, 1, 2)))
+
+#: Position in _SYM_ENTRIES of the component held by each of the 27 entries.
+_SYM_SLOT = np.zeros((3, 3, 3), dtype=int)
+for _slot, (_, _ijk) in enumerate(_SYM_ENTRIES):
+    for _p in permutations(_ijk):
+        _SYM_SLOT[_p] = _slot
+_SYM_SLOT.flags.writeable = False
+
+
 def _sym_from_array(a: np.ndarray) -> dict:
-    return {
-        "alpha0": a[0, 1, 2],
-        "alpha1": a[0, 0, 0], "alpha2": a[1, 1, 1], "alpha3": a[2, 2, 2],
-        "beta1": a[0, 1, 1], "beta2": a[1, 2, 2], "beta3": a[2, 0, 0],
-        "gamma1": a[0, 2, 2], "gamma2": a[0, 0, 1], "gamma3": a[1, 1, 2],
-    }
+    return {name: a[ijk] for name, ijk in _SYM_ENTRIES}
 
 
-def _sym_to_array(alpha0, alpha1, alpha2, alpha3, beta1, beta2, beta3,
-                  gamma1, gamma2, gamma3) -> np.ndarray:
-    a = np.zeros((3, 3, 3))
-
-    def put(i, j, k, v):
-        for p in set(permutations((i, j, k))):
-            a[p] = v
-
-    put(0, 1, 2, alpha0)
-    put(0, 0, 0, alpha1)
-    put(1, 1, 1, alpha2)
-    put(2, 2, 2, alpha3)
-    put(0, 1, 1, beta1)
-    put(1, 2, 2, beta2)
-    put(2, 0, 0, beta3)
-    put(0, 2, 2, gamma1)
-    put(0, 0, 1, gamma2)
-    put(1, 1, 2, gamma3)
-    return a
+def _sym_to_array(*components) -> np.ndarray:
+    """(3, 3, 3) array from the ten components in _SYM_ENTRIES order."""
+    return np.array(components, dtype=float)[_SYM_SLOT]
 
 
 @dataclass(frozen=True)

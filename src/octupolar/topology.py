@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .eigen import Eigenpair, solve_oriented, solved_blocks, stationarity_residual
+from .eigen import Eigenpair, solve_oriented, solved_blocks
 from .potential import OrientedParams, from_rho_chi_K
 from .tensors import as_array
 
@@ -99,8 +99,7 @@ def _winding_index(a: np.ndarray, x: np.ndarray, radius: float = 1e-3,
     pts = (np.cos(radius) * x[None, :]
            + np.sin(radius) * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    grad = 3.0 * np.einsum("ijk,nj,nk->ni", a, pts, pts)
-    sgrad = grad - np.einsum("ni,ni->n", grad, pts)[:, None] * pts
+    sgrad = _optim.surface_gradient(a, pts)
     gu = sgrad @ u
     gv = sgrad @ v
     ang = np.unwrap(np.arctan2(gv, gu))
@@ -119,7 +118,7 @@ def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     (kinds, indices, eigenvalues (n, 2) ascending).
     """
     scale = np.maximum(np.max(np.abs(a), axis=(1, 2, 3)), 1e-300)
-    res = stationarity_residual(a, x, lam)
+    res = _optim.residual_batch(a, x, lam)
     bad = np.flatnonzero(res > 1e-6 * np.maximum(1.0, scale))
     if bad.size:
         raise ValueError(f"point is not critical (residual {res[bad[0]]:.2e})")

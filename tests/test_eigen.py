@@ -85,6 +85,28 @@ class TestRealRoots:
         with pytest.raises(ValueError):
             real_roots([0.0, 0.0])
 
+    def test_zero_root_merges_with_tiny_real(self):
+        # s^2 (s - 5e-7): the trimmed double zero absorbs the nearby real root
+        assert real_roots([0.0, 0.0, -5e-7, 1.0]) == [(5e-7 / 3, 3)]
+
+    def test_negative_real_inside_zero_cluster(self):
+        c = np.polynomial.polynomial.polyfromroots([0.0, 0.0, -4e-7, 1.0])
+        (r0, m0), (r1, m1) = real_roots(c)
+        assert (m0, m1) == (3, 1)
+        assert r0 == pytest.approx(-4e-7 / 3, rel=1e-9)
+        assert r1 == pytest.approx(1.0, rel=1e-12)
+
+    def test_two_clusters_at_k_star_radius(self):
+        # a conjugate pair at -2 and the zero cluster stay apart with cluster=1e-9
+        c = np.polynomial.polynomial.polyfromroots([0.0, 0.0, 3e-10, -2.0, -2.0, 5.0])
+        got = real_roots(c, cluster=1e-9)
+        assert [m for _, m in got] == [2, 3, 1]
+        assert [r for r, _ in got] == pytest.approx([-2.0, 1e-10, 5.0], rel=1e-9)
+        # at the default radius the split near-double root at 2 merges too
+        c = np.polynomial.polynomial.polyfromroots([0.0, 0.0, -3e-10, 2.0, 2.0])
+        assert [m for _, m in real_roots(c, cluster=1e-9)] == [3, 1, 1]
+        assert [m for _, m in real_roots(c)] == [3, 2]
+
 
 class TestSolveOriented:
     def test_axis_case_counts_and_roots(self):

@@ -1,0 +1,68 @@
+"""`k_star` against values recorded before its polynomial helpers were shared
+with `eigen` (tests/data/k_star_grid.csv).
+
+The grid reaches every tier of `k_star`: validated candidates in the
+interior, the near-pi/2 quadratic truncation (`_near_pi2_candidate`) and the
+bisection on the real-root count (`_bisect_transition`) within 1e-3 of
+chi = -pi/2 and next to chi = -pi/6, the rim deflation for rho >= 2 - 1e-9,
+and points where no admissible double root exists (recorded as the error).
+Regenerate with
+
+    PYTHONPATH=src python tests/test_k_star_snapshot.py > tests/data/k_star_grid.csv
+"""
+
+import os
+
+import numpy as np
+
+from octupolar import separatrix
+
+PI = np.pi
+DATA = os.path.join(os.path.dirname(__file__), "data", "k_star_grid.csv")
+
+RHOS = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.6, 1.0, 1.2, 1.5, 1.8] \
+    + [2.0 - 10.0 ** -e for e in range(3, 11)] + [2.0]
+CHIS = [-PI / 2 + 10.0 ** -e for e in range(9, 2, -1)] \
+    + [-1.45, -1.3, -1.1, -0.9, -0.7, -0.6] \
+    + [-PI / 6 - 10.0 ** -e for e in range(3, 10)]
+
+
+def lines():
+    yield "rho,chi,k,s_star,branch"
+    for rho in RHOS:
+        for chi in CHIS:
+            try:
+                ks = separatrix.k_star(rho, chi)
+            except RuntimeError as exc:
+                yield f"{rho:.17g},{chi:.17g},error,{exc}"
+            else:
+                yield f"{rho:.17g},{chi:.17g},{ks.k:.17g},{ks.s_star:.17g},{ks.branch}"
+
+
+def test_k_star_grid_matches_recorded_output(monkeypatch):
+    won = {"pi2": 0, "bisect": 0}
+
+    def counting(tier, fn):
+        def wrapper(*args):
+            got = fn(*args)
+            won[tier] += got is not None
+            return got
+        return wrapper
+
+    monkeypatch.setattr(separatrix, "_near_pi2_candidate",
+                        counting("pi2", separatrix._near_pi2_candidate))
+    monkeypatch.setattr(separatrix, "_bisect_transition",
+                        counting("bisect", separatrix._bisect_transition))
+    got = list(lines())
+    with open(DATA) as f:
+        assert "\n".join(got) + "\n" == f.read()
+    # the grid keeps reaching both fallback tiers, the error and every branch
+    rows = [ln.split(",") for ln in got[1:]]
+    assert won["pi2"] > 0 and won["bisect"] > 0
+    assert any(r[2] == "error" for r in rows)
+    assert {r[4] for r in rows if r[2] != "error"} == {"left", "right", "cusp"}
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line)

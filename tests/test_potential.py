@@ -6,7 +6,9 @@ from octupolar import (
     eval_potential, from_rho_chi_K, gradient, orient, params_from_tensor,
     sample_grid, tetrahedral_tensor,
 )
-from octupolar.potential import MIRROR, apply_rotation, grid_csv_text, rotation_z
+from octupolar.potential import (
+    MIRROR, apply_rotation, grid_csv_text, rotation_z, write_grid_csv,
+)
 
 rng = np.random.default_rng(7)
 PI = np.pi
@@ -241,6 +243,39 @@ class TestSampleGrid:
             rows = sample_grid(t, SphereGrid(11, 11), mode=mode)
             assert rows.shape[0] > 0
             assert np.max(np.abs(np.linalg.norm(rows[:, 2:5], axis=1) - 1.0)) < 1e-12
+
+    def test_chart_modes_match_node_loop(self):
+        def reference(a, grid, mode):
+            rows = []
+            for u in np.linspace(-1.0, 1.0, grid.theta_steps):
+                for v in np.linspace(-1.0, 1.0, grid.phi_steps):
+                    r2 = u * u + v * v
+                    if r2 > 1.0:
+                        continue
+                    h = np.sqrt(1.0 - r2)
+                    x = {"north": [u, v, h], "south": [u, v, -h], "contour": [u, h, v]}[mode]
+                    x = np.array(x)
+                    rows.append((np.arctan2(x[1], x[0]), np.arcsin(np.clip(x[2], -1, 1)),
+                                 *x, eval_potential(a, x)))
+            return np.array(rows).reshape(-1, 6)
+
+        tensors = [from_rho_chi_K(OrientedParams(0.5, -PI / 3, 0.0)), tetrahedral_tensor(1.0),
+                   from_rho_chi_K(OrientedParams(1.7, -1.2, 0.9))]
+        for t in tensors:
+            for grid in (SphereGrid(11, 11), SphereGrid(7, 4), SphereGrid(2, 2)):
+                for mode in ("north", "south", "contour"):
+                    got = sample_grid(t, grid, mode=mode)
+                    assert np.array_equal(got, reference(t.array, grid, mode)), (grid, mode)
+
+    def test_write_grid_csv_to_path(self, tmp_path):
+        t = from_rho_chi_K(OrientedParams(0.5, -PI / 3, 0.0))
+        rows = sample_grid(t, SphereGrid(4, 3))
+        out = tmp_path / "grid.csv"
+        write_grid_csv(rows, out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "theta,phi,x1,x2,x3,phi_value"
+        back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(back, rows)
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
