@@ -28,87 +28,123 @@ def residual_batch(a: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.einsum("...ijk,...j,...k->...i", a, x, x) - lam[:, None] * x), axis=1)
 
 
+# The array kernels below take points component-major, x of shape (3, n).
+_J, _K = np.triu_indices(3)                           # the six pairs j <= k
+_JK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # position of (j, k) among them
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_CROSS_E3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])   # x -> x cross e3
+_CROSS_E1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])   # x -> x cross e1
+
+
+def tangent_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors (u, v) at each column of x, shape (3, n).
+
+    u is x cross e3, or x cross e1 within 0.9 of the poles; v = x cross u.
+    """
+    u = np.where(np.abs(x[2]) < 0.9, _CROSS_E3 @ x, _CROSS_E1 @ x)
+    u /= np.sqrt((u * u).sum(0))
+    return u, x[_NEXT] * u[_PREV] - x[_PREV] * u[_NEXT]
+
+
+def _coefficients(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 10 independent components of a symmetric tensor as matrices b (3, 6), c (6, 3).
+
+    With q = x[_J] * x[_K], A x x = b @ q and the six entries of the matrix A x are c @ x.
+    """
+    c = np.asarray(a, dtype=float)[_J, _K]
+    return c.T * np.where(_J == _K, 1.0, 2.0), c
+
+
+def _axx(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return b @ (x[_J] * x[_K])
+
+
 def surface_gradient(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the cubic form projected onto the tangent planes at the rows of x."""
-    grad = 3.0 * np.einsum("ijk,nj,nk->ni", a, x, x)
-    return grad - np.einsum("ni,ni->n", grad, x)[:, None] * x
+    """Gradient of the cubic form projected onto the tangent planes at the columns of x."""
+    grad = 3.0 * _axx(_coefficients(a)[0], x)
+    return grad - (grad * x).sum(0) * x
+
+
+def _bordered(b: np.ndarray, x: np.ndarray, lam: np.ndarray):
+    """The bordered residual (3 A x^2 - 3 lam x, (|x|^2 - 1)/2), shape (4, n), and its norms."""
+    f = np.concatenate((3.0 * (_axx(b, x) - lam * x), 0.5 * ((x * x).sum(0, keepdims=True) - 1.0)))
+    return f, np.sqrt(np.einsum("im,im->m", f, f))
+
+
+def _bordered_step(c: np.ndarray, x: np.ndarray, lam: np.ndarray, f: np.ndarray):
+    """Newton step (dx, dlam) of the bordered system at unit columns x.
+
+    The 4x4 Jacobian [[H, -3 x], [x^T, 0]] with H = 6 A x - 3 lam I is solved
+    in the orthonormal frame (x, u, v): the x component of dx is -f[3], a
+    2x2 solve gives the tangent components, and the x row gives dlam.  A
+    singular 2x2 gets 1e-13 added to its diagonal.
+    """
+    frame = np.concatenate((x, *tangent_basis(x))).reshape(3, 3, -1)
+    h = np.einsum("aim,bim->abm", frame, np.einsum("ijm,ajm->aim", (c @ x)[_JK], frame))
+    h *= 6.0
+    h[[0, 1, 2], [0, 1, 2]] -= 3.0 * lam             # H in the frame
+    fq = np.einsum("aim,im->am", frame, f[:3])
+    s = np.empty_like(fq)                            # the step in the frame
+    s[0] = -f[3]
+    r = -(fq[1:] + s[0] * h[1:, 0])
+    det = h[1, 1] * h[2, 2] - h[1, 2] * h[1, 2]
+    if not det.all():
+        h[[1, 2], [1, 2]] += 1e-13 * (det == 0.0)
+        det = h[1, 1] * h[2, 2] - h[1, 2] * h[1, 2]
+    s[1] = (h[2, 2] * r[0] - h[1, 2] * r[1]) / det
+    s[2] = (h[1, 1] * r[1] - h[1, 2] * r[0]) / det
+    return np.einsum("am,aim->im", s, frame), (fq[0] + np.einsum("am,am->m", h[0], s)) / 3.0
 
 
 def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
                   iters: int = 50, damping: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the bordered system in (x, lam), batched over rows.
 
-    Equations: 3 A x^2 - 3 lam x = 0 together with the unit-norm constraint
-    row (|x|^2 - 1)/2 = 0; a step is halved whenever it increases the
-    residual norm.
+    Equations: 3 A x^2 - 3 lam x = 0 for a symmetric tensor a, together with
+    the unit-norm constraint row (|x|^2 - 1)/2 = 0.  A step is halved, up
+    to 8 times, whenever it increases the residual norm; a row whose step
+    is still rejected then keeps its point and stops.  Returns the rows
+    (n, 3) and lam = A x^3.
     """
-    x = np.array(x, dtype=float, copy=True)
-    lam = np.array(lam, dtype=float, copy=True)
-    n = x.shape[0]
-    eye = np.eye(3)
-
-    def system(xv, lv):
-        ax = np.einsum("ijk,nk->nij", a, xv)
-        f1 = 3.0 * np.einsum("nij,nj->ni", ax, xv) - 3.0 * lv[:, None] * xv
-        f2 = 0.5 * (np.einsum("ni,ni->n", xv, xv) - 1.0)
-        return ax, np.concatenate([f1, f2[:, None]], axis=1)
-
-    active = np.arange(n)
-    xa, la = x[active], lam[active]
-    ga = system(xa, la)[1]
-    gna = np.linalg.norm(ga, axis=1)
+    b, c = _coefficients(a)
+    x = np.asarray(x, dtype=float).T.copy()
+    xa, la = x.copy(), np.array(lam, dtype=float)
+    active = np.arange(la.size)
+    ga, gna = _bordered(b, xa, la)
+    stuck = active[:0]
     for _ in range(iters):
         done = gna <= 1e-15
-        if np.any(done):
-            x[active[done]] = xa[done]
-            lam[active[done]] = la[done]
-            active = active[~done]
-            xa, la, ga, gna = xa[~done], la[~done], ga[~done], gna[~done]
+        done[stuck] = True
+        if done.any():
+            x[:, active[done]] = xa[:, done]
+            keep = ~done
+            active, xa, la, ga, gna = active[keep], xa[:, keep], la[keep], ga[:, keep], gna[keep]
         if active.size == 0:
             break
-        m = active.size
-        ax = np.einsum("ijk,nk->nij", a, xa)
-        jac = np.zeros((m, 4, 4))
-        jac[:, :3, :3] = 6.0 * ax - 3.0 * la[:, None, None] * eye
-        jac[:, :3, 3] = -3.0 * xa
-        jac[:, 3, :3] = xa
-        try:
-            step = np.linalg.solve(jac, -ga[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            jac[:, np.arange(4), np.arange(4)] += 1e-13
-            step = np.linalg.solve(jac, -ga[:, :, None])[:, :, 0]
-        xt = xa + step[:, :3]
-        lt = la + step[:, 3]
-        gt = system(xt, lt)[1]
-        gtn = np.linalg.norm(gt, axis=1)
-        worse = np.flatnonzero(gtn > gna)
+        dx, dl = _bordered_step(c, xa, la, ga)
+        xt, lt = xa + dx, la + dl
+        worse = np.flatnonzero(_bordered(b, xt, lt)[1] > gna)
         scale = 1.0
         for _half in range(8):
             if worse.size == 0:
                 break
             scale *= damping
-            xs = xa[worse] + scale * step[worse, :3]
-            ls = la[worse] + scale * step[worse, 3]
-            gs = np.linalg.norm(system(xs, ls)[1], axis=1)
-            better = gs <= gna[worse]
+            xs = xa[:, worse] + scale * dx[:, worse]
+            ls = la[worse] + scale * dl[worse]
+            better = _bordered(b, xs, ls)[1] <= gna[worse]
             idx = worse[better]
-            xt[idx] = xs[better]
+            xt[:, idx] = xs[:, better]
             lt[idx] = ls[better]
-            gtn[idx] = gs[better]
             worse = worse[~better]
-        if worse.size:
-            xt[worse] = xa[worse]
-            lt[worse] = la[worse]
+        xt[:, worse] = xa[:, worse]
+        lt[worse] = la[worse]
+        stuck = worse
         xa, la = xt, lt
-        nrm = np.linalg.norm(xa, axis=1)
-        nrm[nrm == 0.0] = 1.0
-        xa /= nrm[:, None]
-        ga = system(xa, la)[1]
-        gna = np.linalg.norm(ga, axis=1)
-    x[active] = xa
-    lam[active] = la
-    lam = potential_batch(a, x)
-    return x, lam
+        nrm = np.sqrt((xa * xa).sum(0))
+        xa /= np.where(nrm == 0.0, 1.0, nrm)
+        ga, gna = _bordered(b, xa, la)
+    x[:, active] = xa
+    return x.T, (x * _axx(b, x)).sum(0)
 
 
 def canonical_flip(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -213,6 +249,13 @@ def merge_degenerate(a: np.ndarray, points, radius: float = 2e-3,
     return out
 
 
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """Index of the first row with each distinct key row, in sorted key order."""
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    return order[np.r_[True, (k[1:] != k[:-1]).any(axis=1)]]
+
+
 def find_critical_classes(a: np.ndarray, samples: int = 4000,
                           residual_tol: float = 1e-9,
                           gradient_presteps: int = 3):
@@ -223,17 +266,14 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     class is (x, lam) in canonical-representative form.  `continuum` is set
     when far more clusters survive than any isolated configuration allows.
     """
-    x = fibonacci_sphere(samples)
-    half = samples // 2
-    sign = np.ones(samples)
-    sign[half:] = -1.0
+    b, _ = _coefficients(a)
+    x = fibonacci_sphere(samples).T.copy()
+    step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
     for _ in range(gradient_presteps):
-        x = x + 0.1 * sign[:, None] * surface_gradient(a, x)
-        x /= np.linalg.norm(x, axis=1)[:, None]
-    lam = potential_batch(a, x)
-    x, lam = newton_refine(a, x, lam)
-    res = residual_batch(a, x, lam)
-    ok = res <= residual_tol
+        x = x + step * surface_gradient(a, x)
+        x /= np.sqrt((x * x).sum(0))
+    x, lam = newton_refine(a, x.T, (x * _axx(b, x)).sum(0))
+    ok = np.abs(_axx(b, x.T) - lam * x.T).max(0) <= residual_tol
     x, lam = x[ok], lam[ok]
     # vectorized antipodal canonicalization, then coarse pre-clustering
     flip = canonical_flip(x)
@@ -241,12 +281,12 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     lam[flip] *= -1.0
     if x.shape[0] == 0:
         return [], False
-    keys, first = np.unique(np.round(x / 2e-7).astype(np.int64), axis=0, return_index=True)
+    first = _first_of_each(np.round(x / 2e-7).astype(np.int64))
     x, lam = x[first], lam[first]
     continuum = x.shape[0] > 64
     if continuum:
         # a continuum of critical points; thin out to coarse representatives
-        _, first = np.unique(np.round(x / 1e-2).astype(np.int64), axis=0, return_index=True)
+        first = _first_of_each(np.round(x / 1e-2).astype(np.int64))
         x, lam = x[first], lam[first]
     points = [(xi, li, (None, 1)) for xi, li in zip(x, lam)]
     points = dedupe_classes(points, tol=1e-6)

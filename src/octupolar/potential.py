@@ -291,7 +291,6 @@ def orient(t, samples: int = 4000) -> Orientation:
             return Orientation(rotation=best.rotation, scale=best.scale,
                                params=best.params, mirrored=best.mirrored,
                                continuum=continuum)
-        vmax = worst * vmax  # a larger value exists; rescan at finer resolution
         classes, continuum = _optim.find_critical_classes(a, samples=4 * samples)
         vmax = max(abs(l) for _, l in classes)
     raise RuntimeError("orientation did not converge to a global maximum")

@@ -71,35 +71,15 @@ class TopologyReport:
                    for k in ("saddle", "degenerate_saddle", "monkey_saddle"))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (n, 3) arrays."""
-    return np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                     a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                     a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
-
-
-def _tangent_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent vectors (u, v) at each row of x, shape (n, 3).
-
-    u is x cross e3, or x cross e1 within 0.9 of the poles; v = x cross u.
-    """
-    zero = np.zeros(len(x))
-    u = np.where((np.abs(x[:, 2]) < 0.9)[:, None],
-                 np.stack([x[:, 1], -x[:, 0], zero], axis=1),
-                 np.stack([zero, x[:, 2], -x[:, 1]], axis=1))
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    return u, _cross(x, u)
-
-
 def _winding_index(a: np.ndarray, x: np.ndarray, radius: float = 1e-3,
                    samples: int = 720) -> int:
     """Winding number of the normalized surface gradient around x."""
-    u, v = (w[0] for w in _tangent_basis(x[None, :]))
+    u, v = (w[:, 0] for w in _optim.tangent_basis(x[:, None]))
     th = 2.0 * np.pi * np.arange(samples) / samples
     pts = (np.cos(radius) * x[None, :]
            + np.sin(radius) * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    sgrad = _optim.surface_gradient(a, pts)
+    sgrad = _optim.surface_gradient(a, pts.T).T
     gu = sgrad @ u
     gv = sgrad @ v
     ang = np.unwrap(np.arctan2(gv, gu))
@@ -122,7 +102,7 @@ def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     bad = np.flatnonzero(res > 1e-6 * np.maximum(1.0, scale))
     if bad.size:
         raise ValueError(f"point is not critical (residual {res[bad[0]]:.2e})")
-    basis = np.stack(_tangent_basis(x), axis=1)                     # (n, 2, 3)
+    basis = np.stack([w.T for w in _optim.tangent_basis(x.T)], axis=1)   # (n, 2, 3)
     h = 6.0 * np.einsum("rijk,rk->rij", a, x) - 3.0 * lam[:, None, None] * np.eye(3)
     eigs = np.linalg.eigvalsh(basis @ h @ basis.transpose(0, 2, 1))
     h1, h2 = eigs[:, 0], eigs[:, 1]
