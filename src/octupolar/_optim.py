@@ -97,7 +97,7 @@ def _bordered_step(c: np.ndarray, x: np.ndarray, lam: np.ndarray, f: np.ndarray)
 
 
 def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
-                  iters: int = 50, damping: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+                  iters: int = 50) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the bordered system in (x, lam), batched over rows.
 
     Equations: 3 A x^2 - 3 lam x = 0 for a symmetric tensor a, together with
@@ -128,7 +128,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
         for _half in range(8):
             if worse.size == 0:
                 break
-            scale *= damping
+            scale *= 0.5
             xs = xa[:, worse] + scale * dx[:, worse]
             ls = la[worse] + scale * dl[worse]
             better = _bordered(b, xs, ls)[1] <= gna[worse]
@@ -147,46 +147,29 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     return x.T, (x * _axx(b, x)).sum(0)
 
 
-def canonical_flip(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+_FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
+_MERGE_RADIUS = 2e-3     # merge_degenerate's cluster radius
+_CRITICAL_TOL = 1e-9     # residual of a critical point in the dense search
+_PRESTEPS = 3            # projected-gradient steps before the dense search's Newton
+
+
+def canonical_flip(x: np.ndarray) -> np.ndarray:
     """Rows whose antipode is the class representative.
 
     The representative has x3 > 0, ties broken by x1 > 0 then x2 > 0.
     """
-    x3_zero = np.abs(x[:, 2]) <= tol
-    return (x[:, 2] < -tol) | (x3_zero & (x[:, 0] < -tol)) \
-        | (x3_zero & (np.abs(x[:, 0]) <= tol) & (x[:, 1] < 0.0))
-
-
-def class_distance(x: np.ndarray, lx: float, y: np.ndarray, ly: float) -> float:
-    """Distance between antipodal equivalence classes (lam, x) ~ (-lam, -x)."""
-    d_same = max(float(np.linalg.norm(x - y)), abs(lx - ly))
-    d_flip = max(float(np.linalg.norm(x + y)), abs(lx + ly))
-    return min(d_same, d_flip)
-
-
-def dedupe_classes(points, tol: float = 1e-8):
-    """Merge antipodal classes closer than tol; sums multiplicity hints.
-
-    `points` is a list of (x, lam, payload) where payload carries
-    (branch, multiplicity).  The first-seen branch tag wins.
-    """
-    out = []
-    for x, lam, (branch, mult) in points:
-        for k, (px, pl, (pb, pm)) in enumerate(out):
-            if class_distance(x, lam, px, pl) < tol:
-                out[k] = (px, pl, (pb, pm + mult))
-                break
-        else:
-            out.append((x, lam, (branch, mult)))
-    return out
+    x3_zero = np.abs(x[:, 2]) <= _FLIP_TOL
+    return (x[:, 2] < -_FLIP_TOL) | (x3_zero & (x[:, 0] < -_FLIP_TOL)) \
+        | (x3_zero & (np.abs(x[:, 0]) <= _FLIP_TOL) & (x[:, 1] < 0.0))
 
 
 def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
                 mult: np.ndarray, tol: float = 1e-8):
-    """`dedupe_classes` within each cell, vectorized over cells.
+    """Merge antipodal classes (lam, x) ~ (-lam, -x) within each cell, vectorized over cells.
 
     Rows are grouped by ascending ``cell``.  A row merges into the first
-    earlier kept row of its cell closer than ``tol`` in class distance, which
+    earlier kept row of its cell closer than ``tol`` in class distance, the
+    smaller of max(|x - y|, |lx - ly|) and max(|x + y|, |lx + ly|); that row
     then sums the multiplicities.  Returns (keep mask, merged multiplicities).
     """
     if cell.size == 0:
@@ -219,27 +202,42 @@ def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
     return kept[group, pos], mp[group, pos]
 
 
-def merge_degenerate(a: np.ndarray, points, radius: float = 2e-3,
-                     residual_tol: float = 1e-9):
+def dedupe_classes(points, tol: float = 1e-8):
+    """`dedupe_rows` on one cell of (x, lam, (branch, multiplicity)) points.
+
+    Each kept point keeps its own x, lam and branch tag and sums the
+    multiplicities of the points merged into it.
+    """
+    if not points:
+        return []
+    x = np.array([p[0] for p in points])
+    lam = np.array([p[1] for p in points])
+    keep, mult = dedupe_rows(np.zeros(len(points), dtype=int), x, lam,
+                             np.array([p[2][1] for p in points]), tol)
+    return [(p[0], p[1], (p[2][0], int(m))) for p, k, m in zip(points, keep, mult) if k]
+
+
+def merge_degenerate(a: np.ndarray, points):
     """Merge clusters of near-critical scatter around degenerate points.
 
-    Two classes closer than `radius` are merged only when the normalized
-    midpoint is itself critical to `residual_tol`, which distinguishes the
-    flat valley around a degenerate point from genuinely distinct roots.
+    Two classes closer than _MERGE_RADIUS are merged only when the
+    normalized midpoint is itself critical to _CRITICAL_TOL, which
+    distinguishes the flat valley around a degenerate point from genuinely
+    distinct roots.
     """
     out = []
     for x, lam, payload in points:
         merged = False
         for k, (px, pl, pp) in enumerate(out):
             for sgn in (1.0, -1.0):
-                if np.linalg.norm(sgn * x - px) < radius and abs(sgn * lam - pl) < 1e-6:
+                if np.linalg.norm(sgn * x - px) < _MERGE_RADIUS and abs(sgn * lam - pl) < 1e-6:
                     mid = sgn * x + px
                     nrm = np.linalg.norm(mid)
                     if nrm < 1e-12:
                         continue
                     mid /= nrm
                     lmid = np.einsum("ijk,i,j,k->", a, mid, mid, mid)
-                    if residual_batch(a, mid[None], lmid[None])[0] < residual_tol:
+                    if residual_batch(a, mid[None], lmid[None])[0] < _CRITICAL_TOL:
                         merged = True
                         break
             if merged:
@@ -256,24 +254,23 @@ def _first_of_each(keys: np.ndarray) -> np.ndarray:
     return order[np.r_[True, (k[1:] != k[:-1]).any(axis=1)]]
 
 
-def find_critical_classes(a: np.ndarray, samples: int = 4000,
-                          residual_tol: float = 1e-9,
-                          gradient_presteps: int = 3):
+def find_critical_classes(a: np.ndarray, samples: int):
     """All antipodal classes of critical points of the cubic form on S^2.
 
     Seeds a Fibonacci grid, runs a few projected-gradient ascent/descent
-    steps, then batched Newton; returns (classes, continuum) where each
-    class is (x, lam) in canonical-representative form.  `continuum` is set
-    when far more clusters survive than any isolated configuration allows.
+    steps, then batched Newton, and keeps the points with residual at most
+    _CRITICAL_TOL; returns (classes, continuum) where each class is (x, lam)
+    in canonical-representative form.  `continuum` is set when far more
+    clusters survive than any isolated configuration allows.
     """
     b, _ = _coefficients(a)
     x = fibonacci_sphere(samples).T.copy()
     step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
-    for _ in range(gradient_presteps):
+    for _ in range(_PRESTEPS):
         x = x + step * surface_gradient(a, x)
         x /= np.sqrt((x * x).sum(0))
     x, lam = newton_refine(a, x.T, (x * _axx(b, x)).sum(0))
-    ok = np.abs(_axx(b, x.T) - lam * x.T).max(0) <= residual_tol
+    ok = np.abs(_axx(b, x.T) - lam * x.T).max(0) <= _CRITICAL_TOL
     x, lam = x[ok], lam[ok]
     # vectorized antipodal canonicalization, then coarse pre-clustering
     flip = canonical_flip(x)
@@ -291,7 +288,7 @@ def find_critical_classes(a: np.ndarray, samples: int = 4000,
     points = [(xi, li, (None, 1)) for xi, li in zip(x, lam)]
     points = dedupe_classes(points, tol=1e-6)
     if not continuum:
-        points = merge_degenerate(a, points, residual_tol=residual_tol)
+        points = merge_degenerate(a, points)
     xs = np.array([xi for xi, _, _ in points])
     sign = np.where(canonical_flip(xs), -1.0, 1.0)
     return [(s * xi, s * li) for s, (xi, li, _) in zip(sign, points)], continuum

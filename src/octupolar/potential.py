@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,44 +256,45 @@ def _orient_at(a: np.ndarray, m: np.ndarray, value: float):
                        params=p, mirrored=mirrored)
 
 
-def orient(t, samples: int = 4000) -> Orientation:
+def orient(t) -> Orientation:
     """Rotate a global maximum of the potential to the north pole.
 
     Scales the tensor so the pole value is exactly +1, zeroes the potential
-    at (1, 0, 0), and reduces the parameters to the canonical sector.  When
-    several global maxima tie, the candidate with lexicographically
-    smallest (rho, chi, K) wins.  The degenerate axisymmetric class
-    (rho = K = 0 after reduction) is flagged, not rejected.
+    at (1, 0, 0), and reduces the parameters to the canonical sector.  An
+    ascent from the best of a few fixed seeds reaches a local maximum;
+    orienting there lets `solve_oriented` list every critical class exactly,
+    and the classes at the largest value are oriented in turn.  When several
+    global maxima tie, the candidate with lexicographically smallest
+    (rho, chi, K) wins.  The degenerate axisymmetric class (rho = K = 0
+    after reduction) is flagged, not rejected.
     """
+    from .eigen import solve_oriented   # eigen imports this module
     a = as_array(t)
     scale0 = float(np.max(np.abs(a)))
     if scale0 < 1e-300:
         raise ValueError("cannot orient the zero tensor")
     OctupolarTensor.from_array(a)  # validates symmetry and tracelessness
-    classes, continuum = _optim.find_critical_classes(a, samples=samples)
-    if not classes:
-        raise RuntimeError("failed to locate any critical point")
-    vmax = max(abs(l) for _, l in classes)
-    for _attempt in range(4):
-        maxima = [(x if l > 0 else -x, abs(l)) for x, l in classes
-                  if abs(l) >= vmax * (1.0 - 1e-9)]
-        cands = [_orient_at(a, m, v) for m, v in maxima]
-        cands.sort(key=lambda o: (round(o.params.rho, 9), round(o.params.chi, 9),
-                                  round(o.params.bigk, 9), o.mirrored))
-        best = cands[0]
-        # guard: the pole must be the global maximum of the oriented tensor
-        from .eigen import solve_oriented
-        sol = solve_oriented(best.params)
-        worst = max((abs(pr.lam) for pr in sol.pairs), default=1.0)
-        if worst <= 1.0 + 1e-7:
-            continuum = continuum or sol.continuum or (
-                best.params.rho <= 1e-8 and best.params.bigk <= 1e-8)
-            return Orientation(rotation=best.rotation, scale=best.scale,
-                               params=best.params, mirrored=best.mirrored,
-                               continuum=continuum)
-        classes, continuum = _optim.find_critical_classes(a, samples=4 * samples)
-        vmax = max(abs(l) for _, l in classes)
-    raise RuntimeError("orientation did not converge to a global maximum")
+    seeds = _optim.fibonacci_sphere(64)
+    values = _optim.potential_batch(a, seeds)
+    x = seeds[np.argmax(values)][:, None]
+    step = 0.1 / values.max()   # relative to the best seed value: the tensor's scale drops out
+    for _ in range(20):
+        x = x + step * _optim.surface_gradient(a, x)
+        x /= np.linalg.norm(x)
+    x, lam = _optim.newton_refine(a, x.T, _optim.potential_batch(a, x.T))
+    start = _orient_at(a, x[0], lam[0])
+    sol = solve_oriented(start.params)
+    lam = np.array([pr.lam for pr in sol.pairs])
+    top = np.abs(lam) >= np.abs(lam).max() * (1.0 - 1e-9)
+    # oriented-frame maxima back to the input frame, then polished there
+    x = np.sign(lam[top])[:, None] * np.array([pr.x for pr in sol.pairs])[top]
+    x = (x @ MIRROR if start.mirrored else x) @ start.rotation
+    x, lam = _optim.newton_refine(a, x, np.abs(lam[top]) / start.scale)
+    best = min((_orient_at(a, m, v) for m, v in zip(x, lam)),
+               key=lambda o: (round(o.params.rho, 9), round(o.params.chi, 9),
+                              round(o.params.bigk, 9), o.mirrored))
+    continuum = sol.continuum or bool(best.params.rho <= 1e-8 and best.params.bigk <= 1e-8)
+    return replace(best, continuum=continuum)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""The batched bordered Newton refinement in `_optim`."""
+"""The batched bordered Newton refinement and the class dedupe in `_optim`."""
 
 import warnings
 
 import numpy as np
 
 from octupolar import OrientedParams, from_rho_chi_K, solve_oriented, tetrahedral_tensor
-from octupolar._optim import (_bordered, _bordered_step, _coefficients, fibonacci_sphere,
-                              newton_refine, potential_batch, residual_batch)
+from octupolar._optim import (_bordered, _bordered_step, _coefficients, dedupe_classes,
+                              fibonacci_sphere, newton_refine, potential_batch, residual_batch)
 
 PI = np.pi
 
@@ -69,3 +69,29 @@ def test_positional_iters_call():
     x, lam = newton_refine(a, x0, potential_batch(a, x0), iters=30)
     assert x.shape == (3, 3) and lam.shape == (3,)
     assert np.max(residual_batch(a, x, lam)) <= 1e-14
+
+
+def test_dedupe_classes_matches_pairwise_first_seen_merge():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(6, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    points = []
+    for i in rng.integers(0, 6, size=40):
+        sign = rng.choice([1.0, -1.0])
+        x = sign * (base[i] + rng.uniform(0, 2e-6) * rng.normal(size=3))
+        points.append((x, sign * (0.1 * i + rng.uniform(0, 2e-6)), (f"b{len(points)}", int(i) + 1)))
+    # (x, lam) ~ (-x, -lam); a point merges into the first earlier kept one closer than tol
+    want = []
+    for x, lam, (branch, mult) in points:
+        for k, (px, pl, (pb, pm)) in enumerate(want):
+            if min(max(np.linalg.norm(x - px), abs(lam - pl)),
+                   max(np.linalg.norm(x + px), abs(lam + pl))) < 1e-6:
+                want[k] = (px, pl, (pb, pm + mult))
+                break
+        else:
+            want.append((x, lam, (branch, mult)))
+    got = dedupe_classes(points, tol=1e-6)
+    assert 6 < len(want) < 40
+    assert [(id(x), lam, payload) for x, lam, payload in got] \
+        == [(id(x), lam, payload) for x, lam, payload in want]
+    assert dedupe_classes([], tol=1e-6) == []

@@ -206,6 +206,36 @@ class TestOrient:
         assert o2.continuum
         assert abs(o2.scale - 5 ** -0.5) < 1e-8
 
+    def test_no_dense_search(self, monkeypatch):
+        from octupolar import _optim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("orient must not run the dense search")
+
+        monkeypatch.setattr(_optim, "find_critical_classes", refuse)
+        p = OrientedParams(0.5, -PI / 3, 0.2)
+        t = OctupolarTensor.from_array(2.5 * apply_rotation(rotation_z(0.4), from_rho_chi_K(p).array))
+        o = orient(t)
+        assert np.max(np.abs(np.array(o.params.as_tuple()) - p.as_tuple())) < 1e-9
+        assert np.max(np.abs(o.undo().array - t.array)) < 1e-9
+
+    def test_pole_not_global_reoriented_to_global_maximum(self):
+        from octupolar import solve_oriented
+        local = np.random.default_rng(71)
+        seen = 0
+        while seen < 12:
+            p = OrientedParams(local.uniform(0.0, 2.0), local.uniform(-PI, PI), local.uniform(-2.0, 2.0))
+            if max(abs(q.lam) for q in solve_oriented(p).pairs) <= 1.0 + 1e-9:
+                continue
+            seen += 1
+            r = np.linalg.qr(local.normal(size=(3, 3)))[0]
+            r *= np.sign(np.linalg.det(r))
+            t = OctupolarTensor.from_array(local.uniform(0.2, 5.0)
+                                           * apply_rotation(r, from_rho_chi_K(p).array))
+            o = orient(t)
+            assert max(abs(q.lam) for q in solve_oriented(o.params).pairs) <= 1.0 + 1e-9
+            assert np.max(np.abs(o.undo().array - t.array)) < 1e-9 * np.max(np.abs(t.array))
+
 
 class TestSampleGrid:
     def test_two_by_two(self):
