@@ -517,7 +517,7 @@ class SolvedBlock:
                 for i, p in enumerate(self.params)]
 
 
-def solve_block(params, polish: bool = True) -> SolvedBlock:
+def solve_block(params) -> SolvedBlock:
     """Solve a block of parameter points in one vectorized pass.
 
     The branch solvers run per cell; back-rotation, dedupe, residual check,
@@ -546,12 +546,11 @@ def solve_block(params, polish: bool = True) -> SolvedBlock:
     cell, x, lam, mult, branch = cell[keep], x[keep], lam[keep], mult[keep], branch[keep]
 
     res = _optim.residual_batch(arrays[cell], x, lam)
-    if polish:
-        rough = res > _POLISH_TOL
-        for i in np.unique(cell[rough]):
-            rows = np.flatnonzero(rough & (cell == i))
-            x[rows], lam[rows] = _optim.newton_refine(arrays[i], x[rows], lam[rows], iters=30)
-            res[rows] = _optim.residual_batch(arrays[cell[rows]], x[rows], lam[rows])
+    rough = res > _POLISH_TOL
+    for i in np.unique(cell[rough]):
+        rows = np.flatnonzero(rough & (cell == i))
+        x[rows], lam[rows] = _optim.newton_refine(arrays[i], x[rows], lam[rows], iters=30)
+        res[rows] = _optim.residual_batch(arrays[cell[rows]], x[rows], lam[rows])
     errors = [None] * n
     for r in np.flatnonzero(res > _RESIDUAL_TOL)[::-1]:   # the first bad row of a cell wins
         i = cell[r]
@@ -576,27 +575,27 @@ def solve_block(params, polish: bool = True) -> SolvedBlock:
                        mult=mult[order])
 
 
-def solved_blocks(params, polish: bool = True):
+def solved_blocks(params):
     """`solve_block` over consecutive blocks of at most BLOCK_CELLS cells."""
     params = list(params)
     for start in range(0, len(params), BLOCK_CELLS):
-        yield solve_block(params[start:start + BLOCK_CELLS], polish)
+        yield solve_block(params[start:start + BLOCK_CELLS])
 
 
-def solve_oriented_batch(params, polish: bool = True) -> list[EigenSolution]:
+def solve_oriented_batch(params) -> list[EigenSolution]:
     """`solve_oriented` for each of a sequence of parameter points.
 
     Raises the error of the first failing point, as a loop over
     `solve_oriented` would.
     """
     out = []
-    for block in solved_blocks(params, polish):
+    for block in solved_blocks(params):
         block.raise_first_error()
         out += block.solutions()
     return out
 
 
-def solve_oriented(p: OrientedParams, polish: bool = True) -> EigenSolution:
+def solve_oriented(p: OrientedParams) -> EigenSolution:
     """All stored eigenpair classes of the oriented tensor at ``p``.
 
     Parameters anywhere in the cylinder (rho in [0, 2], chi in [-pi, pi],
@@ -605,7 +604,7 @@ def solve_oriented(p: OrientedParams, polish: bool = True) -> EigenSolution:
     The continuum flag marks the two axisymmetric parameter points, whose
     isolated classes are still listed.
     """
-    return solve_oriented_batch([p], polish)[0]
+    return solve_oriented_batch([p])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,57 +630,48 @@ def _check_piezo(a: np.ndarray, tol: float = 1e-10) -> None:
 
 
 def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
-    """Stationary triples of x . A[y (x) y] by multi-start alternating ascent.
+    """Stationary triples of x . A[y (x) y] by one batched alternating ascent.
 
-    The x-step normalizes A : y (x) y; the y-step takes the top eigenvector
-    of the symmetric matrix x . A.  Converged triples are deduplicated up
-    to the sign family and returned with lam >= 0, sorted descending.
+    All starts advance together.  A sweep sets x = A : y (x) y / |A : y (x) y|
+    and then y to the top eigenvector of the symmetric matrix x . A.  A start
+    retires when no component of x moves by more than 1e-9 (x is quadratic
+    in y, so the arbitrary sign of y cannot stall this), or stops where it
+    is when A : y (x) y vanishes.  Triples passing the residual check are
+    deduplicated up to the sign family, the first start winning, and
+    returned with lam >= 0, sorted descending.
     """
     a = as_array(t)
     _check_piezo(a)
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    seeds = _optim.fibonacci_sphere(starts)
-    found: list[CEigenTriple] = []
     norm_a = float(np.sqrt(np.einsum("ijk,ijk->", a, a))) or 1.0
-    for y in seeds:
-        lam_prev = -np.inf
-        x = None
-        for _ in range(500):
-            cvec = np.einsum("ijk,j,k->i", a, y, y)
-            nc = np.linalg.norm(cvec)
-            if nc < 1e-14 * norm_a:
-                break
-            x = cvec / nc
-            bmat = np.einsum("i,ijk->jk", x, a)
-            w, v = np.linalg.eigh(bmat)
-            y = v[:, -1]
-            lam = float(w[-1])
-            if abs(lam - lam_prev) <= 1e-15 * (1.0 + abs(lam)):
-                break
-            lam_prev = lam
-        if x is None:
-            continue
-        lam = float(np.einsum("ijk,i,j,k->", a, x, y, y))
-        if lam < 0.0:
-            lam, x = -lam, -x
-        r1 = np.max(np.abs(np.einsum("ijk,j,k->i", a, y, y) - lam * x))
-        r2 = np.max(np.abs(np.einsum("i,ijk,j->k", x, a, y) - lam * y))
-        if max(r1, r2) > 1e-8 * max(1.0, norm_a):
-            continue
-        dup = False
-        for f in found:
-            if abs(f.lam - lam) <= 1e-9 * (1.0 + abs(lam)):
-                for sy in (1.0, -1.0):
-                    if np.linalg.norm(f.x - x) < 1e-6 and np.linalg.norm(f.y - sy * y) < 1e-6:
-                        dup = True
-                        break
-            if dup:
-                break
-        if not dup:
-            found.append(CEigenTriple(lam=lam, x=x.copy(), y=y.copy()))
-    found.sort(key=lambda f: -f.lam)
-    return found
+    y = _optim.fibonacci_sphere(starts)
+    x = np.full_like(y, np.nan)          # no x until A : y (x) y is nonzero once
+    run = np.arange(starts)
+    for _ in range(500):
+        c = np.einsum("ijk,nj,nk->ni", a, y[run], y[run])
+        nc = np.linalg.norm(c, axis=1)
+        live = nc >= 1e-14 * norm_a
+        run, xn = run[live], c[live] / nc[live, None]
+        step = np.max(np.abs(xn - x[run]), axis=1)
+        x[run] = xn
+        y[run] = np.linalg.eigh(np.einsum("ni,ijk->njk", xn, a))[1][:, :, -1]
+        run = run[~(step <= 1e-9)]       # NaN on a start's first sweep keeps it running
+        if run.size == 0:
+            break
+    lam = np.einsum("ijk,ni,nj,nk->n", a, x, y, y)
+    x[lam < 0.0] *= -1.0
+    lam = np.abs(lam)
+    r1 = np.abs(np.einsum("ijk,nj,nk->ni", a, y, y) - lam[:, None] * x)
+    r2 = np.abs(np.einsum("ni,ijk,nj->nk", x, a, y) - lam[:, None] * y)
+    ok = np.maximum(r1, r2).max(axis=1) <= 1e-8 * max(1.0, norm_a)     # False for NaN
+    lam, x, y = lam[ok], x[ok], y[ok]
+    near = lambda u, v: np.linalg.norm(u[:, None] - v, axis=-1) < 1e-6
+    same = ((np.abs(lam[:, None] - lam) <= 1e-9 * (1.0 + lam[:, None])) & near(x, x)
+            & (near(y, y) | near(y, -y)))
+    first = np.flatnonzero(~np.tril(same, -1).any(axis=1))    # no earlier start found it
+    first = first[np.argsort(-lam[first], kind="stable")]
+    return [CEigenTriple(lam=float(lam[i]), x=x[i], y=y[i]) for i in first]
 
 
 def best_rank_one(t, starts: int = 64) -> tuple[float, np.ndarray, np.ndarray]:

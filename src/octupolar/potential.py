@@ -126,7 +126,7 @@ def params_from_tensor(t, tol: float = 1e-9) -> OrientedParams:
     u, w = 2.0 * oc.alpha0, 2.0 * oc.beta3 + 1.0
     rho = float(np.hypot(u, w))
     chi = float(np.arctan2(w, u)) if rho > 1e-12 else -np.pi / 2
-    return OrientedParams(rho=rho, chi=chi, bigk=oc.alpha2)
+    return OrientedParams(rho=rho, chi=chi, bigk=float(oc.alpha2))
 
 
 def eval_potential(t, x):

@@ -6,7 +6,9 @@ from octupolar import (
     eval_potential, from_rho_chi_K, incremental_rank_one, real_roots,
     solve_oriented, walcher_coefficients,
 )
+from octupolar._optim import fibonacci_sphere
 from octupolar.separatrix import kappa_function
+from test_ceigen_snapshot import PANEL, panel_tensor
 
 rng = np.random.default_rng(99)
 PI = np.pi
@@ -267,16 +269,29 @@ class TestCurie:
         assert min(np.linalg.norm(y - v[:, 0]), np.linalg.norm(y + v[:, 0])) < 1e-8
 
     def test_class_count_bounded(self):
-        for _ in range(5):
-            a = rng.normal(size=(3, 3, 3))
+        for k in range(5 + PANEL):
+            a = rng.normal(size=(3, 3, 3)) if k < 5 else panel_tensor(k - 5)
             a = 0.5 * (a + np.transpose(a, (0, 2, 1)))
             triples = c_eigenpairs(a, starts=64)
-            assert len(triples) <= 13
+            assert len(triples) <= count_bound(4, 3)
             norm_a = np.sqrt(np.einsum("ijk,ijk->", a, a))
             for t in triples:
                 r1 = np.max(np.abs(np.einsum("ijk,j,k->i", a, t.y, t.y) - t.lam * t.x))
                 r2 = np.max(np.abs(np.einsum("i,ijk,j->k", t.x, a, t.y) - t.lam * t.y))
                 assert max(r1, r2) <= 1e-8 * max(1.0, norm_a)
+
+    @pytest.mark.parametrize("i", range(PANEL))
+    def test_best_rank_one_is_the_dense_maximum(self, i):
+        # the best lam is the maximum over unit x, y of x . A[y (x) y], that is of |A : y (x) y|
+        a = panel_tensor(i)
+        y = fibonacci_sphere(20_000)
+        dense = np.max(np.linalg.norm(np.einsum("ijk,nj,nk->ni", a, y, y), axis=1))
+        assert best_rank_one(a)[0] >= (1.0 - 1e-9) * dense
+
+    @pytest.mark.parametrize("i", [1, 11, 17, 21])
+    def test_incremental_rank_one_completes_on_stalling_panel_tensors(self, i):
+        terms, residuals = incremental_rank_one(panel_tensor(i))
+        assert len(terms) == len(residuals) >= 1
 
     def test_symmetry_violation_rejected(self):
         with pytest.raises(ValueError):

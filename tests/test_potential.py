@@ -147,6 +147,11 @@ class TestOrient:
         assert o.params.rho < 1e-8
         assert abs(o.params.bigk - 1 / np.sqrt(2)) < 1e-9
 
+    def test_params_are_python_floats(self):
+        o = orient(from_rho_chi_K(OrientedParams(0.6, -1.2, 0.35)))
+        assert type(o.params.bigk) is float
+        assert "np.float64" not in str(o.params)
+
     def test_idempotent(self):
         p = OrientedParams(0.5, -PI / 3, 0.0)
         o = orient(from_rho_chi_K(p))
