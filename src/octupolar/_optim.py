@@ -174,16 +174,16 @@ def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
     """
     if cell.size == 0:
         return np.zeros(0, dtype=bool), mult
-    first = np.r_[True, cell[1:] != cell[:-1]]
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
     group = np.cumsum(first) - 1
     pos = np.arange(cell.size) - np.flatnonzero(first)[group]
     shape = (group[-1] + 1, pos.max() + 1)
     xp = np.full(shape + (3,), np.nan)
     lp = np.full(shape, np.nan)
     xp[group, pos], lp[group, pos] = x, lam
-    d_same = np.maximum(np.linalg.norm(xp[:, :, None] - xp[:, None], axis=-1),
-                        np.abs(lp[:, :, None] - lp[:, None]))
-    d_flip = np.maximum(np.linalg.norm(xp[:, :, None] + xp[:, None], axis=-1),
+    diff, pair_sum = xp[:, :, None] - xp[:, None], xp[:, :, None] + xp[:, None]
+    d_same = np.maximum(np.sqrt((diff * diff).sum(axis=-1)), np.abs(lp[:, :, None] - lp[:, None]))
+    d_flip = np.maximum(np.sqrt((pair_sum * pair_sum).sum(axis=-1)),
                         np.abs(lp[:, :, None] + lp[:, None]))
     close = np.minimum(d_same, d_flip) < tol      # padding is NaN, never close
     close &= np.tri(shape[1], k=-1, dtype=bool)     # only earlier rows absorb later ones

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
 
 from . import _optim
-from .potential import OrientedParams, canonicalize_params, oriented_arrays, rotation_z
+from .potential import OrientedParams, canonicalize_arrays, oriented_arrays, rotation_z
 from .tensors import as_array
 
 __all__ = [
@@ -88,27 +87,38 @@ class WalcherPoly:
         return np.polyval(self.s_coeffs[::-1], s)
 
 
-def walcher_split(rho: float, chi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient arrays (b, c) with S_i = K^2 b_i + c_i, ascending in s."""
+def walcher_split(rho, chi) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays (b, c) with S_i = K^2 b_i + c_i, ascending in s.
+
+    ``rho`` and ``chi`` may be arrays of one shape; the seven coefficients
+    then run along a new last axis.
+    """
+    rho, chi = np.asarray(rho, dtype=float), np.asarray(chi, dtype=float)
     co, si = np.cos(chi), np.sin(chi)
-    b = np.array([
-        0.0,
-        -6.0 * rho * co,
-        6.0 * (rho * si + 6.0),
-        -4.0 * rho * co,
-        4.0 * (rho * si - 6.0),
-        2.0 * rho * co,
-        2.0 * (2.0 - rho * si),
-    ])
-    c = np.array([
-        -rho ** 2 * co ** 2 * (1.0 + rho * si),
-        2.0 * rho ** 2 * co * (3.0 * rho * co ** 2 - 2.0 * si - 2.0 * rho),
-        5.0 * rho ** 2 * co ** 2 * (3.0 * rho * si + 1.0) - 4.0 * rho ** 2 * (1.0 + rho * si),
-        4.0 * rho ** 3 * co * (4.0 - 5.0 * co ** 2),
-        5.0 * rho ** 2 * co ** 2 * (1.0 - 3.0 * rho * si) + 4.0 * rho ** 2 * (rho * si - 1.0),
-        2.0 * rho ** 2 * co * (3.0 * rho * co ** 2 + 2.0 * si - 2.0 * rho),
-        rho ** 2 * co ** 2 * (rho * si - 1.0),
-    ])
+    # squares and cubes by the C library's pow, as scalar ** takes them: numpy's
+    # array square and SIMD power differ from it in the last bit now and then
+    rho2, rho3, co2 = (np.reshape([v ** e for v in a.ravel().tolist()], a.shape)
+                       for a, e in ((rho, 2), (rho, 3), (co, 2)))
+    # shared subexpressions, each evaluated in the order the full formulas use;
+    # -4 rho co and 2 rho co scale rho co by powers of two, which is exact
+    rsi, rco, rho2co2 = rho * si, rho * co, rho2 * co2
+    r3si, r3co2, r2co = 3.0 * rho * si, 3.0 * rho * co2, 2.0 * rho2 * co
+    f5, f4, si2, rho_2 = 5.0 * rho2 * co2, 4.0 * rho2, 2.0 * si, 2.0 * rho
+    b = np.zeros(rho.shape + (7,))
+    c = np.empty(rho.shape + (7,))
+    b[..., 1] = -6.0 * rho * co
+    b[..., 2] = 6.0 * (rsi + 6.0)
+    b[..., 3] = -4.0 * rco
+    b[..., 4] = 4.0 * (rsi - 6.0)
+    b[..., 5] = 2.0 * rco
+    b[..., 6] = 2.0 * (2.0 - rsi)
+    c[..., 0] = -rho2co2 * (1.0 + rsi)
+    c[..., 1] = r2co * (r3co2 - si2 - rho_2)
+    c[..., 2] = f5 * (r3si + 1.0) - f4 * (1.0 + rsi)
+    c[..., 3] = 4.0 * rho3 * co * (4.0 - 5.0 * co2)
+    c[..., 4] = f5 * (1.0 - r3si) + f4 * (rsi - 1.0)
+    c[..., 5] = r2co * (r3co2 + si2 - rho_2)
+    c[..., 6] = rho2co2 * (rsi - 1.0)
     return b, c
 
 
@@ -221,14 +231,22 @@ def _quad_roots(a: float, b: float, c: float, snap: float = _TOL_SNAP):
     return [((-b - sq) / (2.0 * a), 1), ((-b + sq) / (2.0 * a), 1)]
 
 
-def _deflate(a: np.ndarray, root: float) -> np.ndarray:
-    """Synthetic division of an ascending-coefficient polynomial by (s - root)."""
-    out = np.zeros(len(a) - 1)
+def _deflate(a: np.ndarray, root) -> np.ndarray:
+    """Synthetic division of ascending-coefficient polynomials (last axis) by (s - root)."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] - 1,))
     carry = 0.0
-    for i in range(len(a) - 1, 0, -1):
-        carry = a[i] + root * carry
-        out[i - 1] = carry
+    for i in range(a.shape[-1] - 1, 0, -1):
+        carry = a[..., i] + root * carry
+        out[..., i - 1] = carry
     return out
+
+
+def _polyval_rows(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Horner evaluation of each ascending-coefficient row of (n, d) at its s."""
+    y = np.zeros_like(s)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        y = y * s + coeffs[:, j]
+    return y
 
 
 def _solve_axis(k: float):
@@ -355,132 +373,226 @@ def _solve_chi_pi6(rho: float, k: float):
     return rotated, continuum
 
 
-def _solve_generic(rho: float, chi: float, k: float):
-    """Interior of the sector: the degree-six reduction polynomial."""
-    out = []
+def _quad_rows(a, b, c):
+    """`_quad_roots` elementwise: roots (2, n) and multiplicities (2, n), 0 for no root."""
+    lin = np.abs(a) <= 1e-300
+    disc = b * b - 4.0 * a * c
+    scale = b * b + 4.0 * np.abs(a * c) + 1e-300
+    double = ~lin & (np.abs(disc) <= _TOL_SNAP * scale)
+    two = ~lin & ~double & ~(disc < 0.0)
+    sq = np.sqrt(np.where(two, disc, 0.0))
+    roots = np.array([np.where(lin, -c / b, np.where(double, -b / (2.0 * a), (-b - sq) / (2.0 * a))),
+                      (-b + sq) / (2.0 * a)])
+    mult = np.array([np.where(lin, np.abs(b) > 1e-300, np.where(double, 2, two)), two])
+    return roots, mult.astype(int)
+
+
+def _stationary(work: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Newton on W' = 0 from s, per row of ascending coefficients of W.
+
+    A row stops where W'' vanishes or once its step falls below 1e-14 (1 + |s|).
+    """
+    d1 = work[:, 1:] * np.arange(1, work.shape[1])
+    d2 = d1[:, 1:] * np.arange(1, d1.shape[1])
+    s = s.copy()
+    run = np.arange(s.size)
+    for _ in range(40):
+        dp, ddp = _polyval_rows(d1[run], s[run]), _polyval_rows(d2[run], s[run])
+        go = ddp != 0.0
+        run, step = run[go], dp[go] / ddp[go]
+        s[run] -= step
+        run = run[~(np.abs(step) < 1e-14 * (1.0 + np.abs(s[run])))]
+        if run.size == 0:
+            break
+    return s
+
+
+def _pair_roots(work: np.ndarray, roots: np.ndarray, deg: np.ndarray):
+    """Greedy pairing of coalescing roots, in root order, per row.
+
+    A root takes its nearest unused partner within 1e-5 (relative) when W
+    nearly vanishes at the stationary point of W next to it; the pair is
+    then one double root there.  Returns s (n, 6) and multiplicities (n, 6)
+    per root slot: 2 for a pair, 1 for a real single root, 0 otherwise.
+    """
+    n = len(deg)
+    used = np.arange(6) >= deg[:, None]
+    s_root = np.zeros((n, 6))
+    m_root = np.zeros((n, 6), dtype=int)
+    for i in range(6):
+        live = np.flatnonzero(~used[:, i])
+        ri = roots[live, i]
+        dist = np.abs(ri[:, None] - roots[live])
+        dist[used[live]] = np.inf
+        dist[:, i] = np.inf
+        j = np.argmin(dist, axis=1)
+        near = np.flatnonzero(dist[np.arange(live.size), j] <= 1e-5 * (1.0 + np.abs(ri)))
+        if near.size:
+            rows = live[near]
+            s0 = _stationary(work[rows], ri[near].real)
+            ok = np.abs(_polyval_rows(work[rows], s0)) \
+                <= 1e-9 * (_polyval_rows(np.abs(work[rows]), np.abs(s0)) + 1e-300)
+            near, rows = near[ok], rows[ok]
+            used[rows, j[near]] = True
+            s_root[rows, i], m_root[rows, i] = s0[ok], 2
+        used[live, i] = True
+        single = np.ones(live.size, dtype=bool)
+        single[near] = False
+        real = single & (np.abs(ri.imag) <= 1e-9 * (1.0 + np.abs(ri.real)))
+        s_root[live[real], i], m_root[live[real], i] = ri.real[real], 1
+    return s_root, m_root
+
+
+#: branch tag of each entry slot of `_solve_generic`
+_GENERIC_SLOTS = np.array(["pole"] + ["walcher"] * 13 + ["background"], dtype=object)
+_OFF_DIAGONAL = ~np.eye(6, dtype=bool)
+
+
+def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
+    """Interior of the sector, all cells at once: the degree-six reduction polynomial.
+
+    Takes (n,) canonical parameters.  Each cell has 15 entry slots in output
+    order: the pole; the s = 0 root; two per root in ascending s (the second
+    holds the other t of a double root at a zero of the quotient denominator
+    q); the background row.  Returns x (n, 15, 3) and multiplicities
+    (n, 15), 0 for an empty slot.
+    """
+    n = rho.size
     b, c = walcher_split(rho, chi)
+    rho, k = rho[:, None], k[:, None]
+    co, si = np.cos(chi)[:, None], np.sin(chi)[:, None]
     coeffs = b * k * k + c
-    scale = np.max(np.abs(coeffs))
-    co, si = np.cos(chi), np.sin(chi)
-
-    def t_of(s):
-        q = rho * (co * (s * s - 1.0) - 2.0 * s * si)
-        return k * s * (s * s - 3.0) / q
-
-    def _pv(cf, s):
-        return float(np.polyval(cf[::-1], s))
-
-    def _pvscale(cf, s):
-        return float(np.polyval(np.abs(cf)[::-1], abs(s))) + 1e-300
-
-    s_plus = np.tan(chi) + 1.0 / co
-    # on the rim the polynomial may vanish at s_plus, a zero of the quotient denominator
-    rim_root = abs(rho - 2.0) <= 1e-9 \
-        and abs(_pv(coeffs, s_plus)) <= 1e-10 * _pvscale(coeffs, s_plus)
+    scale = np.abs(coeffs).max(axis=1, keepdims=True)
+    deg6_lost = np.abs(coeffs[:, 6]) <= 1e-10 * scale[:, 0]
     work = coeffs
-    if rim_root:
-        # the boundary keeps a permanent root annihilating the quotient
-        # denominator; divide it out so its genuine neighbours stay sharp
-        work = _deflate(work, s_plus)
-        scale = np.max(np.abs(work))
-    deg6_lost = abs(coeffs[6]) <= 1e-10 * np.max(np.abs(coeffs))
-    hi = len(work)
-    while hi > 1 and abs(work[hi - 1]) <= 1e-10 * scale:
-        hi -= 1
-    lo = 0
-    while lo < hi - 1 and abs(work[lo]) <= 1e-10 * scale:
-        lo += 1
-    if lo > 0:
-        out.append(_entry_from_st(0.0, t_of(0.0), "walcher", lo))
-    red = work[lo:hi] / scale
-    roots = np.roots(red[::-1]).tolist() if red.size > 1 else []
-    wval = lambda s: _pv(work, s)
-    wscale = lambda s: _pvscale(work, s)
+    rim = np.abs(rho[:, 0] - 2.0) <= 1e-9
+    if rim.any():
+        # on the rim the polynomial may vanish at s_plus, a zero of the
+        # quotient denominator: that permanent root is divided out so its
+        # genuine neighbours stay sharp
+        s_plus = np.tan(chi) + 1.0 / co[:, 0]
+        rows = np.flatnonzero(rim)
+        w, sp = coeffs[rows], s_plus[rows]
+        rim[rows] = np.abs(_polyval_rows(w, sp)) \
+            <= 1e-10 * (_polyval_rows(np.abs(w), np.abs(sp)) + 1e-300)
+        rows = np.flatnonzero(rim)
+        work = coeffs.copy()
+        work[rows, :6] = _deflate(coeffs[rows], s_plus[rows])
+        work[rows, 6] = 0.0
+        scale = np.abs(work).max(axis=1, keepdims=True)
+    # trim coefficients below 1e-10 of the largest from both ends, keeping the
+    # constant one at least: s = 0 is a root of multiplicity lo, and the rest
+    # has degree hi - 1 - lo
+    big = np.abs(work) > 1e-10 * scale
+    lo = big.argmax(axis=1)
+    big[:, 0] = True
+    hi = 7 - big[:, ::-1].argmax(axis=1)
+    lo = np.minimum(lo, hi - 1)
+    deg = hi - lo - 1
+    red = work / scale
+    roots = np.full((n, 6), np.nan, dtype=complex)
+    for d in sorted(set(deg.tolist()) - {0}):
+        # companions as np.roots builds them, in one stacked eigvals call
+        rows = np.flatnonzero(deg == d)
+        comp = np.zeros((rows.size, d, d))
+        comp.reshape(rows.size, -1)[:, d::d + 1] = 1.0      # the subdiagonal
+        comp[:, 0] = -red[rows[:, None], hi[rows, None] - 2 - np.arange(d)] \
+            / red[rows, hi[rows] - 1][:, None]
+        roots[rows, :d] = np.linalg.eigvals(comp)
 
-    def stationary_near(s0: float) -> float:
-        dercoeffs = polyder(work)
-        der2coeffs = polyder(work, 2)
-        for _ in range(40):
-            dp = float(np.polyval(dercoeffs[::-1], s0))
-            ddp = float(np.polyval(der2coeffs[::-1], s0))
-            if ddp == 0.0:
-                break
-            step = dp / ddp
-            s0 -= step
-            if abs(step) < 1e-14 * (1.0 + abs(s0)):
-                break
-        return s0
+    # cells with no two roots within the pairing distance have single roots only
+    s_root = roots.real.copy()
+    m_root = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))).astype(int)
+    close = (np.abs(roots[:, :, None] - roots[:, None]) <= 1e-5 * (1.0 + np.abs(roots))[:, :, None]) \
+        & _OFF_DIAGONAL
+    pairing = np.flatnonzero(close.any(axis=(1, 2)))
+    if pairing.size:
+        s_root[pairing], m_root[pairing] = _pair_roots(work[pairing], roots[pairing], deg[pairing])
+    order = np.argsort(np.where(m_root > 0, s_root, np.inf), axis=1, kind="stable")
+    cells = np.arange(n)[:, None]
+    r, m_root = s_root[cells, order], m_root[cells, order]
+    if rim.any():
+        # drop the spurious root annihilating the quotient denominator
+        sp = s_plus[:, None]
+        m_root[rim[:, None] & (np.abs(r - sp) <= 1e-8 * (1.0 + np.abs(sp)))] = 0
 
-    # pair up coalescing roots (real pairs or conjugate pairs); a pair is a
-    # genuine double root when the polynomial nearly vanishes at the nearby
-    # stationary point of itself
-    n_roots = len(roots)
-    used = [False] * n_roots
-    clustered: list[list] = []
-    for i in range(n_roots):
-        if used[i]:
-            continue
-        best_j, best_d = -1, np.inf
-        for j in range(n_roots):
-            if j == i or used[j]:
-                continue
-            d = abs(roots[i] - roots[j])
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= 1e-5 * (1.0 + abs(roots[i])):
-            s0 = stationary_near(float(roots[i].real))
-            if abs(wval(s0)) <= 1e-9 * wscale(s0):
-                used[i] = used[best_j] = True
-                clustered.append([s0, 2])
-                continue
-        used[i] = True
-        if abs(roots[i].imag) <= 1e-9 * (1.0 + abs(roots[i].real)):
-            clustered.append([float(roots[i].real), 1])
-    clustered.sort(key=lambda rm: rm[0])
-    for r, m in clustered:
-        if rim_root and abs(r - s_plus) <= 1e-8 * (1.0 + abs(s_plus)):
-            continue  # spurious root annihilating the quotient denominator
-        if m >= 2:
-            qv = rho * (co * (r * r - 1.0) - 2.0 * r * si)
-            qscale = rho * (abs(co) * (r * r + 1.0) + 2.0 * abs(r * si)) + 1e-300
-            if abs(qv) <= 1e-6 * qscale:
-                # near a zero of the quotient denominator the "double root"
-                # is really two solutions with distinct t at (almost) one s
-                c2q = rho * si + 2.0 - rho * co * r
-                c1q = k * (r * r - 1.0)
-                c0q = 0.5 * (rho * si - 1.0) * r * r + rho * co * r - 0.5 * (rho * si + 1.0)
-                for t, mt in _quad_roots(c2q, c1q, c0q):
-                    out.append(_entry_from_st(r, t, "walcher", mt))
-                continue
-        out.append(_entry_from_st(r, t_of(r), "walcher", m))
-    if deg6_lost:
+    x = np.zeros((n, 15, 3))
+    x[:, 0, 2] = x[:, 1:14, 1] = 1.0
+    mult = np.zeros((n, 15), dtype=int)
+    mult[:, 0] = 1
+    mult[:, 1] = lo               # the s = 0 root, where t vanishes with s
+    x[:, 2:14:2, 0] = x[:, 3:14:2, 0] = r
+    q = rho * (co * (r * r - 1.0) - 2.0 * r * si)
+    x[:, 2:14:2, 2] = k * r * (r * r - 3.0) / q
+    mult[:, 2:14:2] = m_root
+    pair = m_root >= 2
+    if pair.any():
+        qscale = rho * (np.abs(co) * (r * r + 1.0) + 2.0 * np.abs(r * si)) + 1e-300
+        # near a zero of q a "double root" is really two solutions with
+        # distinct t at (almost) one s
+        rows, col = np.nonzero(pair & (np.abs(q) <= 1e-6 * qscale))
+        rs, rr, cr, sr, kr = r[rows, col], rho[rows, 0], co[rows, 0], si[rows, 0], k[rows, 0]
+        tq, mq = _quad_rows(rr * sr + 2.0 - rr * cr * rs, kr * (rs * rs - 1.0),
+                            0.5 * (rr * sr - 1.0) * rs * rs + rr * cr * rs - 0.5 * (rr * sr + 1.0))
+        x[rows, 2 + 2 * col, 2], x[rows, 3 + 2 * col, 2] = tq
+        mult[rows, 2 + 2 * col], mult[rows, 3 + 2 * col] = mq
+    s, t = x[:, 1:14, 0], x[:, 1:14, 2]
+    x[:, 1:14] /= np.sqrt(1.0 + s * s + t * t)[:, :, None]
+    if deg6_lost.any():
         # degree dropped: the lost roots migrate to the x2 = 0 great circle
-        x1 = np.sqrt(2.0 * (2.0 - rho * si) / (5.0 - 3.0 * rho * si))
-        x3 = np.sqrt((1.0 - rho * si) / (5.0 - 3.0 * rho * si))
-        out.append((np.array([x1, 0.0, x3]), "background", 1))
-    return out, False
+        rows = np.flatnonzero(deg6_lost)
+        rsi = rho[rows, 0] * si[rows, 0]
+        den = 5.0 - 3.0 * rho[rows, 0] * si[rows, 0]
+        x[rows, 14, 0] = np.sqrt(2.0 * (2.0 - rsi) / den)
+        x[rows, 14, 2] = np.sqrt((1.0 - rsi) / den)
+        mult[rows, 14] = 1
+    return x, mult
 
 
-def _branch_entries(p: OrientedParams):
-    """Canonical-frame map and raw entries of one parameter point, pole first."""
-    canon, op, _mirrored = canonicalize_params(p.rho, p.chi, p.bigk)
-    rho, chi, k = canon.rho, canon.chi, canon.bigk
-    if rho <= _TOL_CHI and k <= _TOL_PLANE:
-        entries, continuum = [], True
-    elif rho <= _TOL_CHI:
-        entries, continuum = _solve_axis(k)
-    elif k <= _TOL_PLANE:
-        if abs(chi + np.pi / 2) <= _TOL_CHI:
-            entries, continuum = _solve_disk_pi2(rho)
+def _branch_rows(params):
+    """Canonical-frame map and raw entries of a block of parameter points.
+
+    Returns (ops, continuum, cell, x, branch, mult) with the rows grouped by
+    ascending cell, each cell's pole first.  The generic cells are solved
+    together; the plane, axis and disk solvers run per cell.
+    """
+    n = len(params)
+    canon, ops, _mirrored = canonicalize_arrays(*np.reshape([p.as_tuple() for p in params], (n, 3)).T)
+    rho, chi, k = canon
+    axis, flat = rho <= _TOL_CHI, k <= _TOL_PLANE
+    pi2, pi6 = np.abs(chi + np.pi / 2) <= _TOL_CHI, np.abs(chi + np.pi / 6) <= _TOL_CHI
+    continuum = axis & flat
+    generic = ~(axis | flat | pi2 | pi6)
+    parts = []          # (cell, rank in cell, x, branch, mult) of each solver family
+    if generic.any():
+        with np.errstate(divide="ignore", invalid="ignore"):    # empty slots may hold 0 / 0
+            x, mult = _solve_generic(rho[generic], chi[generic], k[generic])
+        rows, rank = np.nonzero(mult)
+        parts.append((np.flatnonzero(generic)[rows], rank, x[rows, rank], _GENERIC_SLOTS[rank],
+                      mult[rows, rank]))
+    special = []
+    for i in np.flatnonzero(~generic).tolist():
+        r, c, kk = canon[:, i].tolist()
+        if continuum[i]:
+            entries = []
+        elif axis[i]:
+            entries, _ = _solve_axis(kk)
+        elif flat[i]:
+            entries, _ = _solve_disk_pi2(r) if pi2[i] else _solve_disk_interior(r, c)
+        elif pi2[i]:
+            entries, _ = _solve_chi_pi2(r, kk)
         else:
-            entries, continuum = _solve_disk_interior(rho, chi)
-    elif abs(chi + np.pi / 2) <= _TOL_CHI:
-        entries, continuum = _solve_chi_pi2(rho, k)
-    elif abs(chi + np.pi / 6) <= _TOL_CHI:
-        entries, continuum = _solve_chi_pi6(rho, k)
-    else:
-        entries, continuum = _solve_generic(rho, chi, k)
-    return op, [(_POLE, "pole", 1)] + list(entries), continuum
+            entries, continuum[i] = _solve_chi_pi6(r, kk)
+        special += [(i, j, *e) for j, e in enumerate([(_POLE, "pole", 1)] + entries)]
+    if special:
+        sc, sr, sx, sb, sm = zip(*special)
+        parts.append((np.array(sc), np.array(sr), np.array(sx), np.array(sb, dtype=object),
+                      np.array(sm)))
+    cell, rank, x, branch, mult = (np.concatenate(col) for col in zip(*parts))
+    if len(parts) > 1:
+        order = np.lexsort((rank, cell))
+        cell, x, branch, mult = cell[order], x[order], branch[order], mult[order]
+    return ops, continuum, cell, x, branch, mult
 
 
 @dataclass
@@ -520,26 +632,17 @@ class SolvedBlock:
 def solve_block(params) -> SolvedBlock:
     """Solve a block of parameter points in one vectorized pass.
 
-    The branch solvers run per cell; back-rotation, dedupe, residual check,
-    polish, canonicalization and ordering run once over all rows.  A cell
-    whose residual stays above tolerance gets an error message naming its
-    parameters and classes instead of rows.
+    Canonicalization and the generic branch run once over all cells (the
+    plane, axis and disk solvers per cell); back-rotation, dedupe, residual
+    check, polish, canonicalization of the representatives and ordering run
+    once over all rows.  A cell whose residual stays above tolerance gets
+    an error message naming its parameters and classes instead of rows.
     """
     params = list(params)
     n = len(params)
-    ops = np.empty((n, 3, 3))
-    continuum = np.zeros(n, dtype=bool)
-    xs, branch, mult, cell = [], [], [], []
-    for i, p in enumerate(params):
-        ops[i], entries, continuum[i] = _branch_entries(p)
-        for x, b, m in entries:
-            xs.append(x)
-            branch.append(b)
-            mult.append(m)
-            cell.append(i)
-    cell, mult, branch = np.array(cell), np.array(mult), np.array(branch, dtype=object)
-    x = np.einsum("rji,rj->ri", ops[cell], np.array(xs))
-    x /= np.linalg.norm(x, axis=1)[:, None]
+    ops, continuum, cell, x, branch, mult = _branch_rows(params)
+    x = np.einsum("rji,rj->ri", ops[cell], x)
+    x /= np.sqrt((x * x).sum(axis=1))[:, None]
     arrays = oriented_arrays(params)
     lam = np.einsum("rijk,ri,rj,rk->r", arrays[cell], x, x, x)
     keep, mult = _optim.dedupe_rows(cell, x, lam, mult)

@@ -43,6 +43,7 @@ __all__ = [
     "rotation_z",
     "MIRROR",
     "canonicalize_params",
+    "canonicalize_arrays",
 ]
 
 _SECTOR_LO = -np.pi / 2
@@ -147,8 +148,45 @@ def gradient(t, x):
     return 3.0 * np.einsum("ijk,nj,nk->ni", s, x, x)
 
 
-def _wrap_angle(x: float) -> float:
-    return float((x + np.pi) % (2.0 * np.pi) - np.pi)
+# rotation class m shifts chi by 2 pi m / 3 and flips K for odd m; x_canonical
+# = op @ x with op from _SECTOR_OPS[m, mirrored]
+_SHIFTS = 2.0 * np.pi * np.arange(6) / 3.0
+_K_SIGNS = np.array([1.0, -1.0] * 3)
+_SECTOR_OPS = np.array([[op, MIRROR @ op] for op in (rotation_z(m * np.pi / 3.0) for m in range(6))])
+
+
+def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
+    """`canonicalize_params` over 1-D arrays of parameters.
+
+    Returns ``(params, op, mirrored)``: the canonical (rho, chi, K) as a
+    (3, n) array, the (n, 3, 3) maps and the (n,) mirror flags.  Of the six
+    rotation classes of a point, the one with the smallest key
+    (round(chi, 12), round(K, 12), mirrored) wins, the lowest class on a tie.
+    """
+    rho, chi, bigk = (np.asarray(v, dtype=float) for v in (rho, chi, bigk))
+    chi_m = (chi[:, None] - _SHIFTS + np.pi) % (2.0 * np.pi) - np.pi
+    k_m = bigk[:, None] * _K_SIGNS
+    inner = (_SECTOR_LO - 1e-9 <= chi_m) & (chi_m <= _SECTOR_HI + 1e-9)
+    mirrored = (_SECTOR_HI + 1e-9 < chi_m) & (chi_m <= np.pi / 6 + 1e-9)
+    admissible = (inner | mirrored) & (k_m >= -tol)
+    chi_m = np.minimum(np.maximum(np.where(mirrored, -chi_m - np.pi / 3.0, chi_m), _SECTOR_LO),
+                       _SECTOR_HI)
+    k_m = np.where(k_m < 0.0, 0.0, k_m)
+    best = np.lexsort((mirrored, np.round(k_m, 12),
+                       np.where(admissible, np.round(chi_m, 12), np.inf)))[:, 0]
+    pick = np.arange(rho.size), best
+    params = np.array([rho, chi_m[pick], k_m[pick]])
+    op = _SECTOR_OPS[best, mirrored[pick].astype(int)]
+    mirrored = mirrored[pick]
+    axis = rho < tol
+    if not (admissible[pick] | axis).all():
+        raise RuntimeError("sector reduction failed; parameters out of range")
+    if axis.any():
+        kabs = np.where(bigk >= 0.0, bigk, -bigk)
+        params[:, axis] = [np.zeros_like(rho[axis]), np.full_like(rho[axis], -np.pi / 2), kabs[axis]]
+        op[axis] = np.where(bigk[axis, None, None] >= 0.0, np.eye(3), rotation_z(np.pi))
+        mirrored &= ~axis
+    return params, op, mirrored
 
 
 def canonicalize_params(rho: float, chi: float, bigk: float,
@@ -159,33 +197,10 @@ def canonicalize_params(rho: float, chi: float, bigk: float,
     with ``T(params) = op * T(rho, chi, K)`` componentwise; critical points
     transform as ``x_canonical = op @ x``.  ``op`` is a proper rotation when
     ``mirrored`` is False and includes the fixed mirror plane otherwise.
+    This is `canonicalize_arrays` on one point.
     """
-    if rho < tol:
-        if bigk >= 0.0:
-            return OrientedParams(0.0, -np.pi / 2, bigk), np.eye(3), False
-        return OrientedParams(0.0, -np.pi / 2, -bigk), rotation_z(np.pi), False
-    best = None
-    for m in range(6):
-        chi_m = _wrap_angle(chi - 2.0 * np.pi * m / 3.0)
-        k_m = bigk if m % 2 == 0 else -bigk
-        if k_m < -tol:
-            continue
-        k_m = max(k_m, 0.0)
-        if _SECTOR_LO - 1e-9 <= chi_m <= _SECTOR_HI + 1e-9:
-            mirrored = False
-        elif _SECTOR_HI < chi_m <= np.pi / 6 + 1e-9:
-            chi_m, mirrored = -chi_m - np.pi / 3.0, True
-        else:
-            continue
-        cand = (min(max(chi_m, _SECTOR_LO), _SECTOR_HI), k_m, mirrored, m)
-        key = (round(cand[0], 12), round(cand[1], 12), mirrored)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    if best is None:
-        raise RuntimeError("sector reduction failed; parameters out of range")
-    _, (c, k, mirrored, m) = best
-    op = rotation_z(m * np.pi / 3.0)
-    return OrientedParams(rho, c, k), (MIRROR @ op if mirrored else op), mirrored
+    params, op, mirrored = canonicalize_arrays([rho], [chi], [bigk], tol)
+    return OrientedParams(*params[:, 0].tolist()), op[0], bool(mirrored[0])
 
 
 @dataclass(frozen=True)

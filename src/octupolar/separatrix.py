@@ -21,7 +21,7 @@ from numpy.polynomial.polynomial import polyder
 from .eigen import _deflate, _quad_roots, real_roots, walcher_split
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
-from .topology import full_topology, iter_full_topology  # noqa: F401
+from .topology import critical_point_totals, full_topology  # noqa: F401
 
 __all__ = ["BoundaryEval", "KStar", "RegionSample", "boundary_functions",
            "k_star", "cusp_location", "region_scan", "scan_csv_lines",
@@ -308,8 +308,10 @@ def region_scan(chi: float, rho_steps: int, k_max: float, k_steps: int,
 
     Midpoint sampling keeps the grid off the measure-zero separatrix; with
     ``on_separatrix`` the K column is replaced by the separatrix value at
-    each rho (g, f, or the interior K*), sampling the boundary itself.  All
-    cells go through `iter_full_topology` in one call, one block at a time.
+    each rho (g, f, or the interior K*), sampling the boundary itself.  The
+    counts come from `critical_point_totals`, one block of cells at a time,
+    without building reports; the first failing cell raises with the
+    message `full_topology` gives there.
     """
     if rho_steps < 2 or k_steps < 2:
         raise ValueError("grid steps must be at least 2")
@@ -326,9 +328,8 @@ def region_scan(chi: float, rho_steps: int, k_max: float, k_steps: int,
     else:
         ks = (np.arange(k_steps) + 0.5) * k_max / k_steps
         cells = [(float(r), float(k)) for r in rhos for k in ks]
-    reports = iter_full_topology([OrientedParams(r, chi, k) for r, k in cells])
-    return [RegionSample(rho=r, chi=chi, bigk=k, count=-1 if rep.continuum else rep.total)
-            for (r, k), rep in zip(cells, reports)]
+    counts = critical_point_totals([OrientedParams(r, chi, k) for r, k in cells])
+    return [RegionSample(rho=r, chi=chi, bigk=k, count=n) for (r, k), n in zip(cells, counts)]
 
 
 def scan_csv_lines(samples: list[RegionSample]):

@@ -19,8 +19,8 @@ from .eigen import Eigenpair, solve_oriented, solved_blocks
 from .potential import OrientedParams, from_rho_chi_K
 from .tensors import as_array
 
-__all__ = ["CriticalPoint", "TopologyReport", "classify", "full_topology",
-           "full_topology_batch", "iter_full_topology", "oracle_critical_points"]
+__all__ = ["CriticalPoint", "TopologyReport", "classify", "critical_point_totals",
+           "full_topology", "full_topology_batch", "iter_full_topology", "oracle_critical_points"]
 
 KINDS = ("maximum", "minimum", "saddle", "degenerate_saddle", "monkey_saddle")
 
@@ -201,6 +201,31 @@ def iter_full_topology(params):
 def full_topology_batch(params) -> list[TopologyReport]:
     """`full_topology` for each of a sequence of parameter points (see `iter_full_topology`)."""
     return list(iter_full_topology(params))
+
+
+def critical_point_totals(params) -> list[int]:
+    """`full_topology(p).total` for each of a sequence of parameter points, -1 at a continuum.
+
+    Classifies each block's rows as `iter_full_topology` does and counts
+    them per cell, without building points or reports.  Raises the error of
+    the first failing point, with the message `full_topology` gives there.
+    """
+    out = []
+    for block in solved_blocks(params):
+        n = len(block.params)
+        kinds, index, eigs = _classify_rows(block.arrays[block.cell], block.x, block.lam)
+        index_sum = np.bincount(block.cell, weights=2 * index, minlength=n)
+        failed = np.array([e is not None for e in block.errors])
+        failed |= ~block.continuum & (index_sum != 2)
+        if failed.any():
+            i = int(np.argmax(failed))
+            if block.errors[i] is not None:
+                raise RuntimeError(block.errors[i])
+            r = block.rows(i)       # points of this one cell, for the message _report raises
+            _report(_points(block.x[r], block.lam[r], kinds[r.start:r.stop], index[r], eigs[r]),
+                    block.params[i], False)
+        out += np.where(block.continuum, -1, 2 * np.bincount(block.cell, minlength=n)).tolist()
+    return out
 
 
 def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
