@@ -151,6 +151,7 @@ _FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
 _MERGE_RADIUS = 2e-3     # merge_degenerate's cluster radius
 _CRITICAL_TOL = 1e-9     # residual of a critical point in the dense search
 _PRESTEPS = 3            # projected-gradient steps before the dense search's Newton
+_SLICE = 8192            # seeds per pass of the dense search; its Newton temporaries stay in cache
 
 
 def canonical_flip(x: np.ndarray) -> np.ndarray:
@@ -251,31 +252,56 @@ def _first_of_each(keys: np.ndarray) -> np.ndarray:
     """Index of the first row with each distinct key row, in sorted key order."""
     order = np.lexsort(keys.T[::-1])
     k = keys[order]
-    return order[np.r_[True, (k[1:] != k[:-1]).any(axis=1)]]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = (k[1:] != k[:-1]).any(axis=1)
+    return order[new]
 
 
-def find_critical_classes(a: np.ndarray, samples: int):
-    """All antipodal classes of critical points of the cubic form on S^2.
+def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, step: np.ndarray):
+    """The dense search on one slice of seeds x (3, n): its critical rows, one per 2e-7 key.
 
-    Seeds a Fibonacci grid, runs a few projected-gradient ascent/descent
-    steps, then batched Newton, and keeps the points with residual at most
-    _CRITICAL_TOL; returns (classes, continuum) where each class is (x, lam)
-    in canonical-representative form.  `continuum` is set when far more
-    clusters survive than any isolated configuration allows.
+    Each kept row is canonically flipped and is the slice's lowest-index row
+    of its key (`np.lexsort` is stable).
     """
-    b, _ = _coefficients(a)
-    x = fibonacci_sphere(samples).T.copy()
-    step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
     for _ in range(_PRESTEPS):
         x = x + step * surface_gradient(a, x)
         x /= np.sqrt((x * x).sum(0))
     x, lam = newton_refine(a, x.T, (x * _axx(b, x)).sum(0))
     ok = np.abs(_axx(b, x.T) - lam * x.T).max(0) <= _CRITICAL_TOL
     x, lam = x[ok], lam[ok]
-    # vectorized antipodal canonicalization, then coarse pre-clustering
     flip = canonical_flip(x)
     x[flip] *= -1.0
     lam[flip] *= -1.0
+    first = _first_of_each(np.round(x / 2e-7).astype(np.int64))
+    return x[first], lam[first]
+
+
+def find_critical_classes(a: np.ndarray, samples: int):
+    """All antipodal classes of critical points of the cubic form on S^2.
+
+    Seeds a Fibonacci grid (the first half ascends, the second descends),
+    runs a few projected-gradient steps, then batched Newton, and keeps the
+    points with residual at most _CRITICAL_TOL.  The seeds go through this
+    in slices of _SLICE rows, each reduced to one row per 2e-7 key before
+    the next; one pass over the survivors then picks the lowest-index row
+    of each key.  The search runs on the tensor scaled by a power of two to
+    max |a| in [1/2, 1), so its absolute tolerances are relative ones, and
+    lam is scaled back.  Returns (classes, continuum) where each class is
+    (x, lam) in canonical-representative form.  `continuum` is set when far
+    more clusters survive than any isolated configuration allows; the zero
+    tensor, critical everywhere, is a continuum with no classes.
+    """
+    peak = np.max(np.abs(a))
+    if peak == 0.0:
+        return [], True
+    e = np.frexp(peak)[1]
+    a = np.ldexp(a, -e)
+    b, _ = _coefficients(a)
+    seeds = fibonacci_sphere(samples).T
+    step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
+    parts = [_slice_survivors(a, b, seeds[:, lo:lo + _SLICE].copy(), step[lo:lo + _SLICE])
+             for lo in range(0, samples, _SLICE)]
+    x, lam = (np.concatenate(c) for c in zip(*parts))
     if x.shape[0] == 0:
         return [], False
     first = _first_of_each(np.round(x / 2e-7).astype(np.int64))
@@ -291,4 +317,4 @@ def find_critical_classes(a: np.ndarray, samples: int):
         points = merge_degenerate(a, points)
     xs = np.array([xi for xi, _, _ in points])
     sign = np.where(canonical_flip(xs), -1.0, 1.0)
-    return [(s * xi, s * li) for s, (xi, li, _) in zip(sign, points)], continuum
+    return [(s * xi, np.ldexp(s * li, e)) for s, (xi, li, _) in zip(sign, points)], continuum

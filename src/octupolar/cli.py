@@ -9,6 +9,7 @@ status is 0 on success, 2 on validation errors, 1 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -231,9 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process.
+
+    parse_args reads the parser and writes only its own namespace, so one
+    call leaves nothing behind for the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:

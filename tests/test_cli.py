@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from octupolar import cli
 from octupolar.cli import main
 
 
@@ -102,6 +104,39 @@ class TestScan:
         assert code == 0
         counts = [int(l.split(",")[3]) for l in out.strip().split("\n")[1:]]
         assert all(c in (10, 12) for c in counts)
+
+
+class TestParserReuse:
+    """`main` keeps one parser for the process; no call leaves state for the next."""
+
+    SCAN = ("scan", "--chi", "-1.0471975511965976", "--rho-steps", "3", "--k-max", "2",
+            "--k-steps", "2")
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_scan_flag_does_not_stick(self, capsys):
+        cli._parser.cache_clear()
+        _, plain, _ = run(capsys, *self.SCAN)
+        code, on_sep, _ = run(capsys, *self.SCAN, "--on-separatrix")
+        assert code == 0 and on_sep != plain
+        code, again, _ = run(capsys, *self.SCAN)
+        assert code == 0 and again == plain
+
+    def test_chi_degrees_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "eigen", "--rho", "0.5", "--chi", "-60", "--chi-degrees")
+        assert code == 0 and abs(json.loads(out)["params"]["chi"] + np.pi / 3) < 1e-12
+        code, out, _ = run(capsys, "eigen", "--rho", "0.5", "--chi", "-1.0")
+        assert code == 0 and json.loads(out)["params"]["chi"] == -1.0
+
+    def test_usage_error_then_valid_call(self, capsys):
+        _, want, _ = run(capsys, "eigen", "--rho", "0.8", "--chi", "-1.0", "--K", "0.6")
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--rho", "0.8", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, got, _ = run(capsys, "eigen", "--rho", "0.8", "--chi", "-1.0", "--K", "0.6")
+        assert code == 0 and got == want
 
 
 class TestSeparatrixCmd:
