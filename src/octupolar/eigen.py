@@ -7,7 +7,9 @@ remaining points, which map to roots of a single-variable polynomial of
 degree six in s = x1/x2 (with t = x3/x2 recovered from a quotient that is
 linear in t).  The symmetry planes of the reduced parameter space need
 their own lower-degree branches; every branch below was checked against a
-dense numerical search.
+dense numerical search.  The chi = -pi/6 plane is the chi = -pi/2 plane
+read in the frame rotated by 2 pi/3, at -rho, so one plane solver serves
+both.  Every branch solver works on all of its cells at once.
 
 For a tensor that is only symmetric in its last two indices the analogous
 objects are the stationary pairs of the bilinear form x . A[y (x) y]; these
@@ -51,7 +53,6 @@ _RESIDUAL_TOL = 1e-9
 
 #: cells per vectorized pass; bounds the padded (cells, P, P) dedupe arrays
 BLOCK_CELLS = 128
-_POLE = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -200,35 +201,43 @@ class EigenSolution:
 
 
 # ---------------------------------------------------------------------------
-# branch solvers; all work in the canonical sector and return raw entries
-# (x_unit, branch, multiplicity) in that frame, poles excluded
+# branch solvers; each takes its cells' (n,) canonical parameters and returns
+# fixed entry slots in that frame, the pole first: x (n, S, 3) and
+# multiplicities (n, S), 0 for an empty slot
 # ---------------------------------------------------------------------------
 
-def _entry_from_st(s: float, t: float, branch: str, mult: int = 1):
-    n = np.sqrt(1.0 + s * s + t * t)
-    return (np.array([s, 1.0, t]) / n, branch, mult)
+_SQRT3 = np.sqrt(3.0)
+_ROT_PI6 = rotation_z(4.0 * np.pi / 3.0)
 
 
-def _quad_roots(a: float, b: float, c: float, snap: float = _TOL_SNAP):
-    """Roots of a x^2 + b x + c with a relative snap of tiny discriminants.
+def _quad_rows(a, b, c, snap: float = _TOL_SNAP):
+    """Roots of a x^2 + b x + c elementwise: roots (2, n), multiplicities (2, n), 0 for none.
 
-    Returns (roots, multiplicity) pairs; a discriminant within snap of zero
-    collapses to a double root, which keeps exactly-on-boundary parameter
-    evaluations from losing their coalesced solutions to round-off.  With
-    ``snap=0.0`` only an exactly zero discriminant gives a double root.
+    A discriminant within ``snap`` (relative) of zero gives a double root in
+    the first slot, so that on-boundary parameters keep their coalesced
+    solutions; ``snap=0.0`` asks for an exact zero.  A linear root is first.
     """
-    if abs(a) <= 1e-300:
-        if abs(b) <= 1e-300:
-            return []
-        return [(-c / b, 1)]
+    lin = np.abs(a) <= 1e-300
     disc = b * b - 4.0 * a * c
-    scale = b * b + 4.0 * abs(a * c) + 1e-300
-    if abs(disc) <= snap * scale:
-        return [(-b / (2.0 * a), 2)]
-    if disc < 0.0:
-        return []
-    sq = np.sqrt(disc)
-    return [((-b - sq) / (2.0 * a), 1), ((-b + sq) / (2.0 * a), 1)]
+    double = ~lin & (np.abs(disc) <= snap * (b * b + 4.0 * np.abs(a * c) + 1e-300))
+    two = ~lin & ~double & ~(disc < 0.0)
+    sq = np.sqrt(np.where(two, disc, 0.0))         # 0 at a double root: -b / 2a below
+    roots = np.array([np.where(lin, -c / b, (-b - sq) / (2.0 * a)), (-b + sq) / (2.0 * a)])
+    mult = np.array([np.where(lin, np.abs(b) > 1e-300, np.where(double, 2, two)), two])
+    return roots, mult.astype(int)
+
+
+def _st_slots(s, t, mult):
+    """x (n, S + 1, 3) and multiplicities (n, S + 1) of the pole and the points (s, 1, t)
+    / |(s, 1, t)|; per slot, ``s`` and ``t`` give an (n,) array or a scalar, ``mult`` an array."""
+    x = np.zeros((len(mult[0]), len(mult) + 1, 3))
+    m = np.ones(x.shape[:2], dtype=int)
+    x[:, 0, 2] = x[:, 1:, 1] = 1.0
+    for j, col in enumerate(zip(s, t, mult), 1):
+        x[:, j, 0], x[:, j, 2], m[:, j] = col
+    s, t = x[:, 1:, 0], x[:, 1:, 2]
+    x[:, 1:] /= np.sqrt(1.0 + s * s + t * t)[..., None]
+    return x, m
 
 
 def _deflate(a: np.ndarray, root) -> np.ndarray:
@@ -249,142 +258,94 @@ def _polyval_rows(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return y
 
 
-def _solve_axis(k: float):
-    """rho = 0, K > 0: three-fold symmetric family about the polar axis."""
-    out = []
-    for t, m in _quad_roots(2.0, -k, -0.5):
-        out.append(_entry_from_st(0.0, t, "axis-meridian", m))
-    for t, m in _quad_roots(1.0, k, -1.0):
-        for s in (np.sqrt(3.0), -np.sqrt(3.0)):
-            out.append(_entry_from_st(s, t, "axis-offset", m))
-    return out, False
-
-
-def _disk_coeffs(rho, chi, s):
-    co, si = np.cos(chi), np.sin(chi)
+def _disk_coeffs(rho, co, si, s):
+    """K-free coefficients (c2, c0) of the t-quadratic c2 t^2 + K (s^2 - 1) t + c0 at fixed s."""
     c2 = rho * si + 2.0 - rho * co * s
     c0 = 0.5 * (rho * si - 1.0) * s * s + rho * co * s - 0.5 * (rho * si + 1.0)
     return c2, c0
 
 
-def _solve_disk_interior(rho: float, chi: float):
+def _background(rho, si):
+    """x1 and x3 of the background points (+-x1, 0, x3) on the great circle x2 = 0."""
+    rsi, den = rho * si, 5.0 - 3.0 * rho * si
+    return np.sqrt(2.0 * (2.0 - rsi) / den), np.sqrt((1.0 - rsi) / den)
+
+
+def _solve_axis(rho, chi, k):
+    """rho = 0: three-fold symmetric family about the polar axis; a continuum at K = 0."""
+    (t0, t1), (m0, m1) = _quad_rows(2.0, -k, -0.5)
+    (u0, u1), (n0, n1) = _quad_rows(1.0, k, -1.0)
+    live = k > _TOL_PLANE
+    return _st_slots([0.0, 0.0, _SQRT3, -_SQRT3, _SQRT3, -_SQRT3], [t0, t1, u0, u0, u1, u1],
+                     [m * live for m in (m0, m1, n0, n0, n1, n1)])
+
+
+def _solve_disk(rho, chi, k):
     """K = 0, chi away from -pi/2: equatorial roots plus two vertical lines."""
-    out = []
     co, si = np.cos(chi), np.sin(chi)
     # t = 0 branch: quadratic in s with discriminant rho^2 - 1
-    a = 0.5 * (rho * si - 1.0)
-    for s, m in _quad_roots(a, rho * co, -0.5 * (rho * si + 1.0)):
-        out.append(_entry_from_st(s, 0.0, "disk-equator", m))
+    (e0, e1), (me0, me1) = _quad_rows(0.5 * (rho * si - 1.0), rho * co, -0.5 * (rho * si + 1.0))
     # vertical lines where the t-linear factor vanishes: s = tan chi +/- sec chi
-    for s in (np.tan(chi) + 1.0 / co, np.tan(chi) - 1.0 / co):
-        c2, c0 = _disk_coeffs(rho, chi, s)
-        if abs(c2) <= 1e-12 * (abs(c0) + 1.0):
-            continue  # the quadratic degenerates (rho = 2 line); no solutions
-        t2 = -c0 / c2
-        scale = abs(c0 / c2) + 1.0
-        if t2 > _TOL_SNAP * scale:
-            tq = np.sqrt(t2)
-            out.append(_entry_from_st(s, tq, "disk-vertical"))
-            out.append(_entry_from_st(s, -tq, "disk-vertical"))
-        elif abs(t2) <= _TOL_SNAP * scale:
-            out.append(_entry_from_st(s, 0.0, "disk-vertical", 2))
-    return out, False
+    s = np.array([np.tan(chi) + 1.0 / co, np.tan(chi) - 1.0 / co])
+    c2, c0 = _disk_coeffs(rho, co, si, s)
+    t2, scale = -c0 / c2, np.abs(c0 / c2) + 1.0
+    # where c2 vanishes (the rho = 2 line) the quadratic degenerates: no solutions
+    live = ~(np.abs(c2) <= 1e-12 * (np.abs(c0) + 1.0))
+    two = live & (t2 > _TOL_SNAP * scale)
+    mv = two + 2 * (live & ~two & (np.abs(t2) <= _TOL_SNAP * scale))
+    tq = np.sqrt(np.where(two, t2, 0.0))
+    return _st_slots([e0, e1, s[0], s[0], s[1], s[1]], [0.0, 0.0, tq[0], -tq[0], tq[1], -tq[1]],
+                     [me0, me1, mv[0], two[0], mv[1], two[1]])
 
 
-def _background_pi2(rho: float):
-    x1 = np.sqrt(2.0 * (rho + 2.0) / (5.0 + 3.0 * rho))
-    x3 = np.sqrt((rho + 1.0) / (5.0 + 3.0 * rho))
-    return [(np.array([x1, 0.0, x3]), "background", 1),
-            (np.array([-x1, 0.0, x3]), "background", 1)]
-
-
-def _solve_disk_pi2(rho: float):
+def _solve_disk_pi2(rho, chi, k):
     """chi = -pi/2, K = 0: meridian and equator roots plus the background."""
-    out = []
-    for t, m in _quad_roots(2.0 - rho, 0.0, 0.5 * (rho - 1.0)):
-        out.append(_entry_from_st(0.0, t, "disk-meridian", m))
+    (t0, t1), (m0, m1) = _quad_rows(2.0 - rho, 0.0, 0.5 * (rho - 1.0))
     s2 = (rho - 1.0) / (rho + 1.0)
-    if s2 > _TOL_SNAP:
-        out.append(_entry_from_st(np.sqrt(s2), 0.0, "disk-equator"))
-        out.append(_entry_from_st(-np.sqrt(s2), 0.0, "disk-equator"))
-    elif abs(rho - 1.0) <= _TOL_SNAP * (rho + 1.0):
-        out.append(_entry_from_st(0.0, 0.0, "disk-equator", 2))
-    out.extend(_background_pi2(rho))
-    return out, False
+    two = s2 > _TOL_SNAP
+    double = ~two & (np.abs(rho - 1.0) <= _TOL_SNAP * (rho + 1.0))
+    s = np.sqrt(np.where(two, s2, 0.0))
+    x, mult = _st_slots([0.0, 0.0, s, -s], [t0, t1, 0.0, 0.0], [m0, m1, two + 2 * double, two])
+    x1, x3 = _background(rho, -1.0)
+    bg = np.zeros((rho.size, 2, 3))
+    bg[:, 0, 0], bg[:, 1, 0], bg[:, :, 2] = x1, -x1, x3[:, None]
+    return np.concatenate([x, bg], axis=1), np.column_stack([mult, np.ones((rho.size, 2), dtype=int)])
 
 
-def _solve_chi_pi2(rho: float, k: float):
-    """chi = -pi/2, K > 0."""
-    out = []
-    if abs(rho - 2.0) <= _TOL_PLANE:
-        out.append(_entry_from_st(0.0, (rho - 1.0) / (2.0 * k), "pi2-meridian"))
-    else:
-        for t, m in _quad_roots(2.0 - rho, -k, 0.5 * (rho - 1.0)):
-            out.append(_entry_from_st(0.0, t, "pi2-meridian", m))
-    a = k * k * (rho + 2.0)
-    b = -2.0 * k * k * (rho + 6.0) - 2.0 * rho ** 2 * (rho + 1.0)
-    c = 3.0 * k * k * (6.0 - rho) + 2.0 * rho ** 2 * (rho - 1.0)
-    for sig, m in _quad_roots(a, b, c):
-        if sig <= _TOL_SNAP * (1.0 + abs(sig)):
-            continue
-        s = np.sqrt(sig)
-        t = k * (sig - 3.0) / (2.0 * rho)
-        out.append(_entry_from_st(s, t, "pi2-biquad", m))
-        out.append(_entry_from_st(-s, t, "pi2-biquad", m))
-    return out, False
+def _solve_plane(rho, chi, k):
+    """chi = -pi/2 or -pi/6, K > 0: a meridian quadratic and a biquadratic in s.
 
-
-def _solve_chi_pi6(rho: float, k: float):
-    """chi = -pi/6, K > 0, handled in the frame rotated by 2 pi/3.
-
-    In that frame the parameters read (rho, pi/2, K); the solutions are
-    rotated back by Rz(4 pi/3) at the end.
+    A -pi/6 cell is solved in the frame rotated by 2 pi/3, where it reads as
+    -pi/2 at -rho: its meridian quadratic is the -pi/2 one at -rho, its
+    biquadratic that one times -1 (which keeps the root order), and its
+    entries rotate back by Rz(4 pi/3).  Only the rim rho = 2 differs.
     """
-    out = []
-    continuum = False
-    for t, m in _quad_roots(rho + 2.0, -k, -0.5 * (rho + 1.0)):
-        out.append((_entry_from_st(0.0, t, "pi6-meridian", m), t))
-    branch = []
-    if abs(rho - 2.0) <= _TOL_PLANE:
-        if abs(k - 1.0) <= _TOL_PLANE:
-            continuum = True
-            # the whole t = K(3 - s^2)/(2 rho) curve is critical; only the
-            # meridian root off that curve stays isolated
-            t_orbit = 3.0 * k / (2.0 * rho)
-            out = [(e, t) for e, t in out if abs(t - t_orbit) > 1e-9]
-        else:
-            for s in (np.sqrt(3.0), -np.sqrt(3.0)):
-                branch.append((s, 0.0, 1))
-    else:
-        a = k * k * (rho - 2.0)
-        b = 2.0 * (k * k * (6.0 - rho) + rho ** 2 * (1.0 - rho))
-        c = -3.0 * k * k * (6.0 + rho) + 2.0 * rho ** 2 * (1.0 + rho)
-        for sig, m in _quad_roots(a, b, c):
-            if sig <= _TOL_SNAP * (1.0 + abs(sig)):
-                continue
-            s = np.sqrt(sig)
-            t = k * (3.0 - sig) / (2.0 * rho)
-            branch.append((s, t, m))
-            branch.append((-s, t, m))
-    for s, t, m in branch:
-        out.append((_entry_from_st(s, t, "pi6-biquad", m), t))
-    rot = rotation_z(4.0 * np.pi / 3.0)
-    rotated = [((rot @ x, br, m)) for (x, br, m), _ in out]
-    return rotated, continuum
-
-
-def _quad_rows(a, b, c):
-    """`_quad_roots` elementwise: roots (2, n) and multiplicities (2, n), 0 for no root."""
-    lin = np.abs(a) <= 1e-300
-    disc = b * b - 4.0 * a * c
-    scale = b * b + 4.0 * np.abs(a * c) + 1e-300
-    double = ~lin & (np.abs(disc) <= _TOL_SNAP * scale)
-    two = ~lin & ~double & ~(disc < 0.0)
-    sq = np.sqrt(np.where(two, disc, 0.0))
-    roots = np.array([np.where(lin, -c / b, np.where(double, -b / (2.0 * a), (-b - sq) / (2.0 * a))),
-                      (-b + sq) / (2.0 * a)])
-    mult = np.array([np.where(lin, np.abs(b) > 1e-300, np.where(double, 2, two)), two])
-    return roots, mult.astype(int)
+    pi6 = chi > -np.pi / 3
+    sign = np.where(pi6, -1.0, 1.0)
+    r = sign * rho
+    rho2 = np.array([v ** 2 for v in rho.tolist()])     # by scalar pow, as in walcher_split
+    (t0, t1), (m0, m1) = _quad_rows(2.0 - r, -k, 0.5 * (r - 1.0))
+    rim = np.abs(r - 2.0) <= _TOL_PLANE                 # on -pi/2 the meridian root is linear
+    t0, m0, m1 = np.where(rim, (r - 1.0) / (2.0 * k), t0), np.where(rim, 1, m0), m1 * ~rim
+    a = k * k * (r + 2.0)
+    b = -2.0 * k * k * (r + 6.0) - 2.0 * rho2 * (r + 1.0)
+    c = 3.0 * k * k * (6.0 - r) + 2.0 * rho2 * (r - 1.0)
+    sig, ms = _quad_rows(sign * a, sign * b, sign * c)
+    ms[sig <= _TOL_SNAP * (1.0 + np.abs(sig))] = 0
+    s, t = np.sqrt(sig), k * (sig - 3.0) / (2.0 * r)
+    rim = pi6 & (np.abs(rho - 2.0) <= _TOL_PLANE)
+    if rim.any():
+        # the -pi/6 rim: the biquadratic degenerates to s = +-sqrt 3 at t = 0, except
+        # at K = 1, where the whole curve t = K (3 - s^2) / (2 rho) is critical and
+        # only the meridian root off that curve stays isolated
+        cont = rim & (np.abs(k - 1.0) <= _TOL_PLANE)
+        s[0, rim], t[0, rim], ms[0, rim], ms[1, rim] = _SQRT3, 0.0, ~cont[rim], 0
+        on_curve = cont & (np.abs(np.array([t0, t1]) - 3.0 * k / (2.0 * rho)) <= 1e-9)
+        m0, m1 = m0 * ~on_curve[0], m1 * ~on_curve[1]
+    x, mult = _st_slots([0.0, 0.0, s[0], -s[0], s[1], -s[1]], [t0, t1, t[0], t[0], t[1], t[1]],
+                        [m0, m1, ms[0], ms[0], ms[1], ms[1]])
+    x[pi6, 1:] = (_ROT_PI6 @ x[pi6, 1:, :, None])[..., 0]
+    return x, mult
 
 
 def _stationary(work: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -443,8 +404,17 @@ def _pair_roots(work: np.ndarray, roots: np.ndarray, deg: np.ndarray):
     return s_root, m_root
 
 
-#: branch tag of each entry slot of `_solve_generic`
-_GENERIC_SLOTS = np.array(["pole"] + ["walcher"] * 13 + ["background"], dtype=object)
+def _slot_tags(*groups):
+    return np.array(["pole"] + [tag for tag, count in groups for _ in range(count)], dtype=object)
+
+
+#: branch tag of each entry slot of each solver
+_GENERIC_SLOTS = _slot_tags(("walcher", 13), ("background", 1))
+_AXIS_SLOTS = _slot_tags(("axis-meridian", 2), ("axis-offset", 4))
+_DISK_SLOTS = _slot_tags(("disk-equator", 2), ("disk-vertical", 4))
+_DISK_PI2_SLOTS = _slot_tags(("disk-meridian", 2), ("disk-equator", 2), ("background", 2))
+_PI2_SLOTS = _slot_tags(("pi2-meridian", 2), ("pi2-biquad", 4))
+_PI6_SLOTS = _slot_tags(("pi6-meridian", 2), ("pi6-biquad", 4))
 _OFF_DIAGONAL = ~np.eye(6, dtype=bool)
 
 
@@ -519,8 +489,7 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
     x = np.zeros((n, 15, 3))
     x[:, 0, 2] = x[:, 1:14, 1] = 1.0
     mult = np.zeros((n, 15), dtype=int)
-    mult[:, 0] = 1
-    mult[:, 1] = lo               # the s = 0 root, where t vanishes with s
+    mult[:, 0], mult[:, 1] = 1, lo      # the pole; the s = 0 root, where t vanishes with s
     x[:, 2:14:2, 0] = x[:, 3:14:2, 0] = r
     q = rho * (co * (r * r - 1.0) - 2.0 * r * si)
     x[:, 2:14:2, 2] = k * r * (r * r - 3.0) / q
@@ -531,9 +500,9 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
         # near a zero of q a "double root" is really two solutions with
         # distinct t at (almost) one s
         rows, col = np.nonzero(pair & (np.abs(q) <= 1e-6 * qscale))
-        rs, rr, cr, sr, kr = r[rows, col], rho[rows, 0], co[rows, 0], si[rows, 0], k[rows, 0]
-        tq, mq = _quad_rows(rr * sr + 2.0 - rr * cr * rs, kr * (rs * rs - 1.0),
-                            0.5 * (rr * sr - 1.0) * rs * rs + rr * cr * rs - 0.5 * (rr * sr + 1.0))
+        rs = r[rows, col]
+        c2, c0 = _disk_coeffs(rho[rows, 0], co[rows, 0], si[rows, 0], rs)
+        tq, mq = _quad_rows(c2, k[rows, 0] * (rs * rs - 1.0), c0)
         x[rows, 2 + 2 * col, 2], x[rows, 3 + 2 * col, 2] = tq
         mult[rows, 2 + 2 * col], mult[rows, 3 + 2 * col] = mq
     s, t = x[:, 1:14, 0], x[:, 1:14, 2]
@@ -541,10 +510,7 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
     if deg6_lost.any():
         # degree dropped: the lost roots migrate to the x2 = 0 great circle
         rows = np.flatnonzero(deg6_lost)
-        rsi = rho[rows, 0] * si[rows, 0]
-        den = 5.0 - 3.0 * rho[rows, 0] * si[rows, 0]
-        x[rows, 14, 0] = np.sqrt(2.0 * (2.0 - rsi) / den)
-        x[rows, 14, 2] = np.sqrt((1.0 - rsi) / den)
+        x[rows, 14, 0], x[rows, 14, 2] = _background(rho[rows, 0], si[rows, 0])
         mult[rows, 14] = 1
     return x, mult
 
@@ -553,44 +519,35 @@ def _branch_rows(params):
     """Canonical-frame map and raw entries of a block of parameter points.
 
     Returns (ops, continuum, cell, x, branch, mult) with the rows grouped by
-    ascending cell, each cell's pole first.  The generic cells are solved
-    together; the plane, axis and disk solvers run per cell.
+    ascending cell, each cell's pole first.  Each solver family runs once, on
+    all of its cells together.
     """
     n = len(params)
     canon, ops, _mirrored = canonicalize_arrays(*np.reshape([p.as_tuple() for p in params], (n, 3)).T)
     rho, chi, k = canon
     axis, flat = rho <= _TOL_CHI, k <= _TOL_PLANE
     pi2, pi6 = np.abs(chi + np.pi / 2) <= _TOL_CHI, np.abs(chi + np.pi / 6) <= _TOL_CHI
-    continuum = axis & flat
-    generic = ~(axis | flat | pi2 | pi6)
-    parts = []          # (cell, rank in cell, x, branch, mult) of each solver family
-    if generic.any():
-        with np.errstate(divide="ignore", invalid="ignore"):    # empty slots may hold 0 / 0
-            x, mult = _solve_generic(rho[generic], chi[generic], k[generic])
-        rows, rank = np.nonzero(mult)
-        parts.append((np.flatnonzero(generic)[rows], rank, x[rows, rank], _GENERIC_SLOTS[rank],
-                      mult[rows, rank]))
-    special = []
-    for i in np.flatnonzero(~generic).tolist():
-        r, c, kk = canon[:, i].tolist()
-        if continuum[i]:
-            entries = []
-        elif axis[i]:
-            entries, _ = _solve_axis(kk)
-        elif flat[i]:
-            entries, _ = _solve_disk_pi2(r) if pi2[i] else _solve_disk_interior(r, c)
-        elif pi2[i]:
-            entries, _ = _solve_chi_pi2(r, kk)
-        else:
-            entries, continuum[i] = _solve_chi_pi6(r, kk)
-        special += [(i, j, *e) for j, e in enumerate([(_POLE, "pole", 1)] + entries)]
-    if special:
-        sc, sr, sx, sb, sm = zip(*special)
-        parts.append((np.array(sc), np.array(sr), np.array(sx), np.array(sb, dtype=object),
-                      np.array(sm)))
-    cell, rank, x, branch, mult = (np.concatenate(col) for col in zip(*parts))
+    disk, plane = flat & ~axis, (pi2 | pi6) & ~(axis | flat)
+    # the axisymmetric points: rho = K = 0, and rho = 2, K = 1 on chi = -pi/6
+    continuum = (axis & flat) | (plane & pi6 & (np.abs(rho - 2.0) <= _TOL_PLANE)
+                                 & (np.abs(k - 1.0) <= _TOL_PLANE))
+    families = ((~(axis | flat | pi2 | pi6), _solve_generic, _GENERIC_SLOTS),
+                (axis, _solve_axis, _AXIS_SLOTS),
+                (disk & ~pi2, _solve_disk, _DISK_SLOTS),
+                (disk & pi2, _solve_disk_pi2, _DISK_PI2_SLOTS),
+                (plane & pi2, _solve_plane, _PI2_SLOTS),
+                (plane & pi6, _solve_plane, _PI6_SLOTS))
+    parts = []          # (cell, slot, x, branch, mult) of each solver family
+    with np.errstate(divide="ignore", invalid="ignore"):    # empty slots may hold 0 / 0
+        for mask, solve, tags in families:
+            cells = np.flatnonzero(mask)
+            if cells.size:
+                x, mult = solve(rho[cells], chi[cells], k[cells])
+                rows, slot = np.nonzero(mult)
+                parts.append((cells[rows], slot, x[rows, slot], tags[slot], mult[rows, slot]))
+    cell, slot, x, branch, mult = (np.concatenate(col) for col in zip(*parts))
     if len(parts) > 1:
-        order = np.lexsort((rank, cell))
+        order = np.lexsort((slot, cell))
         cell, x, branch, mult = cell[order], x[order], branch[order], mult[order]
     return ops, continuum, cell, x, branch, mult
 
@@ -632,11 +589,11 @@ class SolvedBlock:
 def solve_block(params) -> SolvedBlock:
     """Solve a block of parameter points in one vectorized pass.
 
-    Canonicalization and the generic branch run once over all cells (the
-    plane, axis and disk solvers per cell); back-rotation, dedupe, residual
-    check, polish, canonicalization of the representatives and ordering run
-    once over all rows.  A cell whose residual stays above tolerance gets
-    an error message naming its parameters and classes instead of rows.
+    Canonicalization runs once over all cells and each branch solver once
+    over its cells; back-rotation, dedupe, residual check, polish,
+    canonicalization of the representatives and ordering run once over all
+    rows.  A cell whose residual stays above tolerance gets an error
+    message naming its parameters and classes instead of rows.
     """
     params = list(params)
     n = len(params)

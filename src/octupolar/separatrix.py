@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyder
 
-from .eigen import _deflate, _quad_roots, real_roots, walcher_split
+from .eigen import _deflate, _quad_rows, real_roots, walcher_split
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import critical_point_totals, full_topology  # noqa: F401
@@ -101,7 +101,9 @@ def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
     bb = 2.0 * b[1] * c[1] - 4.0 * (b[2] * c[0] + c[2] * b[0])
     cc = c[1] * c[1] - 4.0 * c[2] * c[0]
     best = None
-    for k2, _m in _quad_roots(aa, bb, cc, snap=0.0):
+    with np.errstate(divide="ignore", invalid="ignore"):    # a root-free slot may hold 0 / 0
+        k2s, mult = _quad_rows(aa, bb, cc, snap=0.0)
+    for k2 in k2s[mult > 0]:
         if k2 <= 0.0:
             continue
         s1 = k2 * b[1] + c[1]

@@ -1,5 +1,5 @@
-"""Raw generic-branch entries against values recorded before the branch became
-array code (tests/data/generic_entries.json).
+"""Raw branch-solver entries against values recorded before the branches
+became array code (tests/data/generic_entries.json).
 
 For every cell the file holds a digest of the solver's raw entries: the
 canonical-frame rows (x, branch, multiplicity), pole first, before
@@ -10,7 +10,11 @@ the rim rho = 2 (their K* is recorded in the file), the degree-drop surface
 K = kappa, the cusp line rho sin chi = -1, the rim rho = 2, and slices
 1e-6...1e-4 from both symmetry planes.  Together they reach the double-root
 pairing, the q ~ 0 two-t split, the s = 0 root, the rim deflation and the
-degree-drop background row.  Regenerate with
+degree-drop background row.  Behind them come the special families: both
+exact planes on the 40x40 grid, K = 0 at rho = 1, rho = 2 and interior chi,
+the plane rims 2 - rho in {0, 1e-12, 1e-10} (with the continuum point
+(2, -pi/6, 1)) and the axis rho = 0; every special branch tag must show up.
+Regenerate with
 
     PYTHONPATH=src python tests/test_generic_snapshot.py > tests/data/generic_entries.json
 """
@@ -60,6 +64,14 @@ def cells(separatrix_rows) -> list:
         d = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-4))))
         chi = -PI / 2 + d if rng.integers(2) else -PI / 6 - d
         out.append((rng.uniform(0.02, 1.98), chi, rng.uniform(0.0, 2.0)))
+    # the special families: both exact planes, the disk K = 0, the rims and the axis
+    out += [(r, chi, k) for chi in (-PI / 2, -PI / 6) for r in grid for k in grid]
+    out += [(r, chi, 0.0) for chi in (-PI / 2, -1.2, -1.0, -0.7, -PI / 6)
+            for r in grid + [1.0, 2.0]]
+    out += [(2.0 - d, chi, k) for chi in (-PI / 2, -PI / 6) for d in (0.0, 1e-12, 1e-10)
+            for k in (0.3, 1.0, 1.3)]
+    out += [(0.0, chi, k) for chi in (-PI / 2, -1.0, -PI / 6) for k in grid]
+    out.append((0.0, -PI / 2, 0.0))
     return [(float(r), float(c), float(k)) for r, c, k in out]
 
 
@@ -86,9 +98,12 @@ def record() -> dict:
 
 
 def _paths(params, entries) -> set:
-    """Which generic-branch paths the entries show."""
+    """Which generic-branch paths and special-branch tags the entries show."""
     hit = set()
     for p, rows in zip(params, entries):
+        hit.update(b for _, b, _ in rows if b not in ("pole", "walcher", "background"))
+        if p.bigk == 0.0 and any(b == "background" for _, b, _ in rows):
+            hit.add("K=0 background")
         walcher = [(x, m) for x, b, m in rows if b == "walcher"]
         if any(m == 2 for _, m in walcher):
             hit.add("pair")
@@ -119,8 +134,21 @@ def test_generic_entries_match_recorded_output():
     assert len(recorded["digests"]) == len(params)
     for p, want, got in zip(params, recorded["digests"], entries):
         assert digest(got) == want, (p, got)
-    assert _paths(params, entries) == {"pair", "s=0", "two-t split", "background",
-                                       "rim deflation"}
+    assert _paths(params, entries) == {
+        "pair", "s=0", "two-t split", "background", "rim deflation", "K=0 background",
+        "axis-meridian", "axis-offset", "disk-equator", "disk-vertical", "disk-meridian",
+        "pi2-meridian", "pi2-biquad", "pi6-meridian", "pi6-biquad"}
+
+
+def test_continuum_flags():
+    """Only rho = K = 0 and (2, -pi/6, 1), within the rim tolerance, are continua."""
+    cells = [(0.0, chi, k) for chi in (-PI / 2, -1.0, -PI / 6) for k in (0.0, 1e-12, 0.3)]
+    cells += [(2.0 - d, chi, k) for chi in (-PI / 2, -1.0, -PI / 6) for d in (0.0, 1e-12, 1e-10)
+              for k in (0.0, 0.3, 1.0, 1.3)]
+    _ops, continuum, *_ = eigen._branch_rows([OrientedParams(*c) for c in cells])
+    want = [(r == 0.0 and k <= 1e-12) or (c == -PI / 6 and k == 1.0 and 2.0 - r <= 1e-11)
+            for r, c, k in cells]
+    assert continuum.tolist() == want
 
 
 if __name__ == "__main__":

@@ -98,6 +98,14 @@ class TestFullTopology:
         assert rep.continuum
         assert rep.total == 2  # isolated poles only
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="near the -pi/6 rim the biquadratic's leading coefficient "
+                              "K^2 (rho - 2) is tiny but outside the 1e-11 rim test; "
+                              "the index sum reads -2 (ROADMAP item 1)")
+    def test_pi6_plane_near_rim(self):
+        rep = full_topology(OrientedParams(2.0 - 1e-9, -PI / 6, 1.3))
+        assert rep.index_sum == 2
+
 
 class TestOracle:
     def test_tetrahedral_agrees_with_solver(self):
