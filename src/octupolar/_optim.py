@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 
 
+@cache
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """n quasi-uniform points on the unit sphere, shape (n, 3)."""
+    """n quasi-uniform points on the unit sphere, shape (n, 3); built once per n, read-only."""
     i = np.arange(n)
     z = 1.0 - 2.0 * (i + 0.5) / n
     theta = 2.0 * np.pi * i / _GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    x = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    x.flags.writeable = False
+    return x
 
 
 def potential_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -297,9 +302,12 @@ def find_critical_classes(a: np.ndarray, samples: int):
     e = np.frexp(peak)[1]
     a = np.ldexp(a, -e)
     b, _ = _coefficients(a)
-    seeds = fibonacci_sphere(samples).T
+    # one private component-major copy of the shared seeds, sliced by view.  Freeing it each call
+    # keeps glibc's mmap threshold above the Newton temporaries: slicing the cached array instead
+    # page-faults about 20x more per call
+    seeds = fibonacci_sphere(samples).T.copy()
     step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
-    parts = [_slice_survivors(a, b, seeds[:, lo:lo + _SLICE].copy(), step[lo:lo + _SLICE])
+    parts = [_slice_survivors(a, b, seeds[:, lo:lo + _SLICE], step[lo:lo + _SLICE])
              for lo in range(0, samples, _SLICE)]
     x, lam = (np.concatenate(c) for c in zip(*parts))
     if x.shape[0] == 0:

@@ -258,6 +258,11 @@ def _polyval_rows(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
     return y
 
 
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Derivative of each ascending-coefficient row, as `polyder` forms it."""
+    return coeffs[..., 1:] * np.arange(1, coeffs.shape[-1])
+
+
 def _disk_coeffs(rho, co, si, s):
     """K-free coefficients (c2, c0) of the t-quadratic c2 t^2 + K (s^2 - 1) t + c0 at fixed s."""
     c2 = rho * si + 2.0 - rho * co * s
@@ -353,8 +358,8 @@ def _stationary(work: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     A row stops where W'' vanishes or once its step falls below 1e-14 (1 + |s|).
     """
-    d1 = work[:, 1:] * np.arange(1, work.shape[1])
-    d2 = d1[:, 1:] * np.arange(1, d1.shape[1])
+    d1 = _derivative(work)
+    d2 = _derivative(d1)
     s = s.copy()
     run = np.arange(s.size)
     for _ in range(40):
@@ -705,7 +710,7 @@ def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
     if starts < 1:
         raise ValueError("starts must be at least 1")
     norm_a = float(np.sqrt(np.einsum("ijk,ijk->", a, a))) or 1.0
-    y = _optim.fibonacci_sphere(starts)
+    y = _optim.fibonacci_sphere(starts).copy()
     x = np.full_like(y, np.nan)          # no x until A : y (x) y is nonzero once
     run = np.arange(starts)
     for _ in range(500):

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
 
-from .eigen import _deflate, _quad_rows, real_roots, walcher_split
+from .eigen import _deflate, _derivative, _polyval_rows, _quad_rows, real_roots, walcher_split
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import critical_point_totals, full_topology  # noqa: F401
@@ -84,10 +83,8 @@ def boundary_functions(rho: float, chi: float) -> BoundaryEval:
 
 
 def _count_real(coeffs: np.ndarray) -> int:
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
-        return 0
-    return sum(m for _, m in real_roots(coeffs / scale, realness=1e-7, cluster=1e-9))
+    roots = real_roots(coeffs, realness=1e-7, cluster=1e-9) if np.any(coeffs) else []
+    return sum(m for _, m in roots)
 
 
 def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
@@ -151,15 +148,11 @@ def _bisect_transition(b: np.ndarray, c: np.ndarray, refine):
     k_t = lo
     coeffs = b * k_t ** 2 + c
     roots = np.roots(coeffs[::-1] / np.max(np.abs(coeffs)))
-    best, best_d = None, np.inf
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if d < best_d:
-                best_d = d
-                best = 0.5 * (roots[i] + roots[j]).real
-    if best is None:
+    i, j = np.triu_indices(len(roots), 1)
+    if i.size == 0:
         return None
+    m = np.argmin(np.abs(roots[i] - roots[j]))      # the first closest pair
+    best = 0.5 * (roots[i[m]] + roots[j[m]]).real
     got = refine(float(best), float(k_t ** 2))
     if got is not None:
         return got
@@ -177,81 +170,66 @@ def k_star(rho: float, chi: float) -> KStar:
         raise ValueError("rho must lie in (0, 2]")
     if not (-np.pi / 2 < chi < -np.pi / 6):
         raise ValueError("chi must lie strictly between -pi/2 and -pi/6")
-    b, c = walcher_split(rho, chi)
+    rows = np.stack(walcher_split(rho, chi))
     extra = []
     if rho >= 2.0 - 1e-9:
         # on the rho = 2 boundary the polynomial keeps a permanent root at
         # s_plus; deflate it from both coefficient arrays and also consider
         # the K at which a genuine root collides with it
         s_plus = np.tan(chi) + 1.0 / np.cos(chi)
-        b = _deflate(b, s_plus)
-        c = _deflate(c, s_plus)
-        bv, cv = np.polyval(b[::-1], s_plus), np.polyval(c[::-1], s_plus)
+        rows = _deflate(rows, s_plus)
+        bv, cv = _polyval_rows(rows, np.full(2, s_plus))
         if abs(bv) > 1e-12 and -cv / bv > -1e-12:
             # a genuine root collides with the permanent boundary root; the
             # vault terminates here (K -> 0 as rho -> 2)
             extra.append((float(np.sqrt(max(0.0, -cv / bv))), float(s_plus)))
-    bp, cp = polyder(b), polyder(c)
-    det = np.convolve(b, cp) - np.convolve(bp, c)
-    scale = np.max(np.abs(det))
-    bpp, cpp = polyder(b, 2), polyder(c, 2)
+    # rows b, c, b', c', b'', c'' of W = K^2 b + c, ascending, zero-padded
+    table = np.zeros((6, rows.shape[1]))
+    table[:2] = rows
+    for i in (2, 4):
+        table[i:i + 2, :-1] = _derivative(table[i - 2:i])
+    b, c = table[:2]
+    det = np.convolve(b, table[3, :-1]) - np.convolve(table[2, :-1], c)
+    checks = np.vstack([table[:4], np.abs(table[:4])])
 
     def refine(s0: float, k2: float):
         """2D Newton on (W, W') = 0 in the unknowns (s, K^2)."""
         for _ in range(60):
-            bv = np.polyval(b[::-1], s0)
-            cv = np.polyval(c[::-1], s0)
-            bdv = np.polyval(bp[::-1], s0)
-            cdv = np.polyval(cp[::-1], s0)
-            f1 = k2 * bv + cv
-            f2 = k2 * bdv + cdv
-            j11 = k2 * bdv + cdv
-            j21 = k2 * np.polyval(bpp[::-1], s0) + np.polyval(cpp[::-1], s0)
-            jac = np.array([[j11, bv], [j21, bdv]])
+            v = _polyval_rows(table, np.full(6, s0))
+            w, wd, wdd = k2 * v[::2] + v[1::2]          # W, W', W''
             try:
-                ds, dk2 = np.linalg.solve(jac, [-f1, -f2])
+                ds, dk2 = np.linalg.solve(np.array([[wd, v[0]], [wdd, v[2]]]), [-w, -wd])
             except np.linalg.LinAlgError:
                 return None
             s0 += ds
             k2 += dk2
             if abs(ds) <= 1e-15 * (1.0 + abs(s0)) and abs(dk2) <= 1e-15 * (1.0 + abs(k2)):
                 break
-        bv, cv = np.polyval(b[::-1], s0), np.polyval(c[::-1], s0)
-        bdv, cdv = np.polyval(bp[::-1], s0), np.polyval(cp[::-1], s0)
-        w_scale = abs(k2) * np.polyval(np.abs(b)[::-1], abs(s0)) \
-            + np.polyval(np.abs(c)[::-1], abs(s0)) + 1e-300
-        wd_scale = abs(k2) * np.polyval(np.abs(bp)[::-1], abs(s0)) \
-            + np.polyval(np.abs(cp)[::-1], abs(s0)) + 1e-300
+        # W, W' at s0 and their scales, the same rows in |coefficient| at |s0|
+        bv, cv, bdv, cdv, ab, ac, abd, acd = _polyval_rows(checks, np.repeat([s0, abs(s0)], 4))
+        w_scale = abs(k2) * ab + ac + 1e-300
+        wd_scale = abs(k2) * abd + acd + 1e-300
         if abs(k2 * bv + cv) > 1e-8 * w_scale or abs(k2 * bdv + cdv) > 1e-8 * wd_scale:
             return None
         if not np.isfinite(k2) or k2 <= 0.0:
             return None
         # consistency across the two equations, each in its own scaling
-        k2_alt = [-cv / bv if abs(bv) > 1e-10 * np.polyval(np.abs(b)[::-1], abs(s0)) + 1e-300 else None,
-                  -cdv / bdv if abs(bdv) > 1e-10 * np.polyval(np.abs(bp)[::-1], abs(s0)) + 1e-300 else None]
-        for alt in k2_alt:
-            if alt is not None and abs(alt - k2) > 1e-8 * (1.0 + abs(k2)):
+        for n, d, scale in ((cv, bv, ab), (cdv, bdv, abd)):
+            if abs(d) > 1e-10 * scale + 1e-300 and abs(-n / d - k2) > 1e-8 * (1.0 + abs(k2)):
                 return None
         return float(np.sqrt(k2)), float(s0)
 
     candidates = list(extra)
-    for s0, _m in real_roots(det / scale, cluster=1e-9):
-        bv, cv = np.polyval(b[::-1], s0), np.polyval(c[::-1], s0)
-        bdv, cdv = np.polyval(bp[::-1], s0), np.polyval(cp[::-1], s0)
-        guesses = []
-        if abs(bv) > 1e-300:
-            guesses.append(-cv / bv)
-        if abs(bdv) > 1e-300:
-            guesses.append(-cdv / bdv)
-        for k2 in guesses:
+    for s0, _m in real_roots(det, cluster=1e-9):
+        bv, cv, bdv, cdv = _polyval_rows(table[:4], np.full(4, s0))
+        for k2 in [-n / d for n, d in ((cv, bv), (cdv, bdv)) if abs(d) > 1e-300]:
             if not np.isfinite(k2) or k2 <= 0.0:
                 continue
             got = refine(float(s0), float(k2))
-            if got is not None:
-                if all(abs(got[0] - kv) > 1e-9 * (1.0 + got[0])
-                       or abs(got[1] - sv) > 1e-9 * (1.0 + abs(got[1]))
-                       for kv, sv in candidates):
-                    candidates.append(got)
+            if got is not None and all(abs(got[0] - kv) > 1e-9 * (1.0 + got[0])
+                                       or abs(got[1] - sv) > 1e-9 * (1.0 + abs(got[1]))
+                                       for kv, sv in candidates):
+                candidates.append(got)
     validated = []
     for kv, s0 in candidates:
         if kv <= 1e-7:

@@ -150,26 +150,18 @@ def trace_classify(p: TraceParams) -> dict:
         return {"maximum": "minimum", "minimum": "maximum"}.get(kind, kind)
 
     out = {"p1": ("degenerate_saddle", -1 if mu != 0.0 else 0)}
-    # p2 chart-Hessian eigenvalues: (-4 sqrt3 mu, -sqrt(2/3)(2 + sqrt2 mu))
-    e1, e2 = -4.0 * np.sqrt(3.0) * mu, -_SQ23 * (2.0 + np.sqrt(2.0) * mu)
-    if e1 < 0 and e2 < 0:
-        out["p2"] = (oriented_kind("maximum"), 1)
-    elif e1 > 0 and e2 > 0:
-        out["p2"] = (oriented_kind("minimum"), 1)
-    elif mu == 0.0:
-        out["p2"] = ("degenerate_saddle", 0)
-    else:
-        out["p2"] = ("saddle", -1)
-    # p3: (-4 sqrt3 mu, +sqrt(2/3)(2 - sqrt2 mu))
-    e1, e2 = -4.0 * np.sqrt(3.0) * mu, _SQ23 * (2.0 - np.sqrt(2.0) * mu)
-    if e1 < 0 and e2 < 0:
-        out["p3"] = (oriented_kind("maximum"), 1)
-    elif e1 > 0 and e2 > 0:
-        out["p3"] = (oriented_kind("minimum"), 1)
-    elif mu == 0.0:
-        out["p3"] = ("degenerate_saddle", 0)
-    else:
-        out["p3"] = ("saddle", -1)
+    # chart-Hessian eigenvalues (e1, e2) at p2 and p3; they share e1 = -4 sqrt3 mu
+    e1 = -4.0 * np.sqrt(3.0) * mu
+    for label, e2 in (("p2", -_SQ23 * (2.0 + np.sqrt(2.0) * mu)),
+                      ("p3", _SQ23 * (2.0 - np.sqrt(2.0) * mu))):
+        if e1 < 0 and e2 < 0:
+            out[label] = (oriented_kind("maximum"), 1)
+        elif e1 > 0 and e2 > 0:
+            out[label] = (oriented_kind("minimum"), 1)
+        elif mu == 0.0:
+            out[label] = ("degenerate_saddle", 0)
+        else:
+            out[label] = ("saddle", -1)
     if 0.0 < abs(mu) <= np.sqrt(2.0):
         kind = oriented_kind("maximum" if mu > 0 else "minimum")
         out["p4"] = (kind, 1)
@@ -285,43 +277,29 @@ def tetra_constraints(deltas: dict | None = None, mode: str = "nonperturbative")
     ``alpha3`` free and pinning everything else; this mode also reports the
     chart-Hessian eigenvalues and potential values at the maxima.
     """
+    free = {"perturbative": ("dalpha2", "dalpha3", "dbeta3"),
+            "oriented": ("alpha2", "alpha3", "beta3"), "nonperturbative": ("alpha2", "alpha3")}
+    if mode not in free:
+        raise ValueError(f"unknown mode {mode!r}")
     d = dict(deltas or {})
+    a2_, a3_, *rest = (d.pop(name, 0.0) for name in free[mode])
+    if d:
+        raise ValueError(f"unknown {mode} parameters {sorted(d)}")
     sq2 = np.sqrt(2.0)
-    if mode == "perturbative":
-        da2 = d.pop("dalpha2", 0.0)
-        da3 = d.pop("dalpha3", 0.0)
-        db3 = d.pop("dbeta3", 0.0)
-        if d:
-            raise ValueError(f"unknown perturbative parameters {sorted(d)}")
-        return SymFullPotentialParams(
-            alpha2=da2, alpha3=da3, beta3=db3,
-            a1=0.0,
-            a2=2.0 * da2 + da3 / sq2 + 3.0 * sq2 * db3,
-            a3=-sq2 * da2 + 2.5 * da3 + 3.0 * db3)
-    if mode == "oriented":
-        a2_ = d.pop("alpha2", 0.0)
-        a3_ = d.pop("alpha3", 0.0)
-        b3_ = d.pop("beta3", 0.0)
-        if d:
-            raise ValueError(f"unknown oriented parameters {sorted(d)}")
+    if mode != "nonperturbative":
+        b3_ = rest[0]
         return SymFullPotentialParams(
             alpha2=a2_, alpha3=a3_, beta3=b3_,
             a1=0.0,
             a2=2.0 * a2_ + a3_ / sq2 + 3.0 * sq2 * b3_,
             a3=-sq2 * a2_ + 2.5 * a3_ + 3.0 * b3_)
-    if mode == "nonperturbative":
-        a2_ = d.pop("alpha2", 0.0)
-        a3_ = d.pop("alpha3", 0.0)
-        if d:
-            raise ValueError(f"unknown nonperturbative parameters {sorted(d)}")
-        b3_ = -(2.0 * sq2 * a2_ + a3_) / 6.0
-        eigs = {
-            "p1": (-2.0 * (sq2 * a2_ + 2.0 * a3_), -2.0 * (sq2 * a2_ + 2.0 * a3_)),
-            "p2-p4": (-6.0 * sq2 * a2_, -6.0 * (5.0 * sq2 * a2_ + 4.0 * a3_)),
-        }
-        vals = {"p1": a3_, "p2-p4": (8.0 * sq2 * a2_ + a3_) / 9.0}
-        return SymFullPotentialParams(
-            alpha2=a2_, alpha3=a3_, beta3=b3_,
-            a1=0.0, a2=0.0, a3=2.0 * (a3_ - sq2 * a2_),
-            hessian_eigs=eigs, values=vals)
-    raise ValueError(f"unknown mode {mode!r}")
+    b3_ = -(2.0 * sq2 * a2_ + a3_) / 6.0
+    eigs = {
+        "p1": (-2.0 * (sq2 * a2_ + 2.0 * a3_), -2.0 * (sq2 * a2_ + 2.0 * a3_)),
+        "p2-p4": (-6.0 * sq2 * a2_, -6.0 * (5.0 * sq2 * a2_ + 4.0 * a3_)),
+    }
+    vals = {"p1": a3_, "p2-p4": (8.0 * sq2 * a2_ + a3_) / 9.0}
+    return SymFullPotentialParams(
+        alpha2=a2_, alpha3=a3_, beta3=b3_,
+        a1=0.0, a2=0.0, a3=2.0 * (a3_ - sq2 * a2_),
+        hessian_eigs=eigs, values=vals)

@@ -302,6 +302,18 @@ class TestCurie:
         with pytest.raises(ValueError):
             c_eigenpairs(a, starts=0)
 
+    def test_seeds_are_shared_and_read_only(self):
+        # the oracle and c_eigenpairs reuse one seed array per size; c_eigenpairs
+        # writes into its own copy, so repeated calls see the same seeds
+        y = fibonacci_sphere(64)
+        assert fibonacci_sphere(64) is y
+        assert not y.flags.writeable
+        a = panel_tensor(3)
+        first, second = c_eigenpairs(a), c_eigenpairs(a)
+        assert len(first) == len(second) > 0
+        for u, v in zip(first, second):
+            assert u.lam == v.lam and np.array_equal(u.x, v.x) and np.array_equal(u.y, v.y)
+
 
 class TestRankOne:
     def test_three_term_recovery_in_order(self):
