@@ -85,7 +85,8 @@ class WalcherPoly:
     spurious_roots: tuple[float, float]
 
     def __call__(self, s):
-        return np.polyval(self.s_coeffs[::-1], s)
+        s = np.asarray(s)
+        return _polyval_rows(self.s_coeffs[None], s).reshape(s.shape)[()]
 
 
 def walcher_split(rho, chi) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +97,7 @@ def walcher_split(rho, chi) -> tuple[np.ndarray, np.ndarray]:
     """
     rho, chi = np.asarray(rho, dtype=float), np.asarray(chi, dtype=float)
     co, si = np.cos(chi), np.sin(chi)
-    # squares and cubes by the C library's pow, as scalar ** takes them: numpy's
-    # array square and SIMD power differ from it in the last bit now and then
-    rho2, rho3, co2 = (np.reshape([v ** e for v in a.ravel().tolist()], a.shape)
-                       for a, e in ((rho, 2), (rho, 3), (co, 2)))
+    rho2, rho3, co2 = _scalar_pow(rho, 2), _scalar_pow(rho, 3), _scalar_pow(co, 2)
     # shared subexpressions, each evaluated in the order the full formulas use;
     # -4 rho co and 2 rho co scale rho co by powers of two, which is exact
     rsi, rco, rho2co2 = rho * si, rho * co, rho2 * co2
@@ -131,6 +129,83 @@ def walcher_coefficients(p: OrientedParams) -> WalcherPoly:
     return WalcherPoly(s_coeffs=s, spurious_roots=(tn - sc, tn + sc))
 
 
+def _scalar_pow(a, e: int) -> np.ndarray:
+    """a ** e elementwise by the C library's pow, as scalar ** takes it: numpy's
+    array square and SIMD power differ from it in the last bit now and then."""
+    a = np.asarray(a, dtype=float)
+    return np.reshape([v ** e for v in a.ravel().tolist()], a.shape)
+
+
+def _companion_roots(red: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of each row's polynomial red[lo:hi] (ascending, nonzero at both ends).
+
+    Companions are built as np.roots builds them, one stacked eigvals call
+    per degree.  Returns (n, d - 1) complex for (n, d) rows, NaN past each
+    row's degree.
+    """
+    deg = hi - lo - 1
+    roots = np.full((len(red), red.shape[1] - 1), np.nan, dtype=complex)
+    for d in sorted(set(deg.tolist()) - {0}):
+        rows = np.flatnonzero(deg == d)
+        comp = np.zeros((rows.size, d, d))
+        comp.reshape(rows.size, -1)[:, d::d + 1] = 1.0      # the subdiagonal
+        comp[:, 0] = -red[rows[:, None], hi[rows, None] - 2 - np.arange(d)] \
+            / red[rows, hi[rows] - 1][:, None]
+        roots[rows, :d] = np.linalg.eigvals(comp)
+    return roots
+
+
+def _real_eigs(coeffs: np.ndarray, realness: float):
+    """Companion roots of each row of (n, d) ascending coefficients, as `real_roots` finds them.
+
+    Each row is scaled by its largest |coefficient| and trimmed of
+    coefficients below 1e-12 at both ends: s = 0 is a root of multiplicity
+    lo.  Returns lo (n,), the roots (n, d - 1) and whether each is real,
+    |Im| <= realness * (1 + |Re|).  An all-zero row has no roots.
+    """
+    n, width = coeffs.shape
+    scale = np.abs(coeffs).max(axis=1, keepdims=True)
+    red = coeffs / np.where(scale > 0.0, scale, 1.0)
+    big = np.abs(red) > 1e-12
+    lo = big.argmax(axis=1)
+    big[:, 0] = True
+    hi = width - big[:, ::-1].argmax(axis=1)
+    lo = np.minimum(lo, hi - 1)
+    roots = _companion_roots(red, lo, hi)
+    return lo, roots, np.abs(roots.imag) <= realness * (1.0 + np.abs(roots.real))
+
+
+def _real_root_rows(coeffs: np.ndarray, realness: float, cluster: float):
+    """`real_roots` of every row of (n, d): roots (n, d) ascending and multiplicities (n, d), 0 past the last.
+
+    Sorted reals closer than ``cluster`` (relative) to the running mean of
+    the cluster before them join it, left to right.
+    """
+    n, width = coeffs.shape
+    lo, roots, real = _real_eigs(coeffs, realness)
+    # the s = 0 root first, then the real eigenvalues; a stable sort keeps that order on ties
+    m = np.hstack([lo[:, None], real.astype(int)])
+    s = np.hstack([np.zeros((n, 1)), np.where(real, roots.real, 0.0)])
+    order = np.argsort(np.where(m > 0, s, np.inf), axis=1, kind="stable")
+    s, m = np.take_along_axis(s, order, axis=1), np.take_along_axis(m, order, axis=1)
+    out_s, out_m = np.zeros((n, width)), np.zeros((n, width), dtype=int)
+    slot = np.zeros(n, dtype=int)
+    mean, mult = s[:, 0].copy(), m[:, 0].copy()
+    for j in range(1, width):
+        r, mj = s[:, j], m[:, j]
+        join = (mj > 0) & (np.abs(r - mean) <= cluster * (1.0 + np.abs(r)))
+        rows = np.flatnonzero(join)
+        mean[rows] = (mean[rows] * mult[rows] + r[rows] * mj[rows]) / (mult[rows] + mj[rows])
+        mult[rows] += mj[rows]
+        rows = np.flatnonzero((mj > 0) & ~join)
+        out_s[rows, slot[rows]], out_m[rows, slot[rows]] = mean[rows], mult[rows]
+        slot[rows] += 1
+        mean[rows], mult[rows] = r[rows], mj[rows]
+    rows = np.flatnonzero(mult > 0)
+    out_s[rows, slot[rows]], out_m[rows, slot[rows]] = mean[rows], mult[rows]
+    return out_s, out_m
+
+
 def real_roots(coeffs, realness: float = 1e-8, cluster: float = 1e-6):
     """Real roots with multiplicities of a polynomial (ascending coefficients).
 
@@ -142,29 +217,8 @@ def real_roots(coeffs, realness: float = 1e-8, cluster: float = 1e-6):
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
         raise ValueError("polynomial is identically zero")
-    scale = np.max(np.abs(c))
-    c = c / scale
-    hi = c.size
-    while hi > 1 and abs(c[hi - 1]) <= 1e-12:
-        hi -= 1
-    lo = 0
-    while lo < hi - 1 and abs(c[lo]) <= 1e-12:
-        lo += 1
-    out = [(0.0, lo)] if lo > 0 else []
-    poly = c[lo:hi]
-    if poly.size > 1:
-        out += [(float(r.real), 1) for r in np.roots(poly[::-1])
-                if abs(r.imag) <= realness * (1.0 + abs(r.real))]
-    out.sort(key=lambda rm: rm[0])
-    merged = []
-    for r, m in out:
-        if merged and abs(r - merged[-1][0]) <= cluster * (1.0 + abs(r)):
-            k = merged[-1][1]
-            merged[-1][0] = (merged[-1][0] * k + r * m) / (k + m)
-            merged[-1][1] = k + m
-        else:
-            merged.append([r, m])
-    return [(r, m) for r, m in merged]
+    s, m = _real_root_rows(c[None], realness, cluster)
+    return [(float(r), int(k)) for r, k in zip(s[0], m[0]) if k]
 
 
 def count_bound(r: int, n: int) -> int:
@@ -464,16 +518,7 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
     hi = 7 - big[:, ::-1].argmax(axis=1)
     lo = np.minimum(lo, hi - 1)
     deg = hi - lo - 1
-    red = work / scale
-    roots = np.full((n, 6), np.nan, dtype=complex)
-    for d in sorted(set(deg.tolist()) - {0}):
-        # companions as np.roots builds them, in one stacked eigvals call
-        rows = np.flatnonzero(deg == d)
-        comp = np.zeros((rows.size, d, d))
-        comp.reshape(rows.size, -1)[:, d::d + 1] = 1.0      # the subdiagonal
-        comp[:, 0] = -red[rows[:, None], hi[rows, None] - 2 - np.arange(d)] \
-            / red[rows, hi[rows] - 1][:, None]
-        roots[rows, :d] = np.linalg.eigvals(comp)
+    roots = _companion_roots(work / scale, lo, hi)
 
     # cells with no two roots within the pairing distance have single roots only
     s_root = roots.real.copy()

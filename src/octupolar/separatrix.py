@@ -7,7 +7,11 @@ on chi = -pi/6.  In between, the separatrix K* is found where the
 reduction polynomial acquires a double root: each coefficient is linear in
 K^2, so requiring the polynomial and its derivative to vanish gives a 2x2
 linear system in K^2 whose compatibility condition is a polynomial of
-degree 10 in the root location.  The two vaults meet along the cusp line
+degree 10 in the root location.  K* is solved for all rho of one chi
+slice in one array pass: the determinant roots, the Newton polish of every
+candidate and the real-root counts that validate them run stacked over the
+slice, and only rows left without a validated candidate go through the
+fallback tiers one at a time.  The two vaults meet along the cusp line
 chi = -arcsin(1/rho), K = h(rho).
 """
 
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _deflate, _derivative, _polyval_rows, _quad_rows, real_roots, walcher_split
+from .eigen import (_deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs, _real_root_rows,
+                    _scalar_pow, walcher_split)
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import critical_point_totals, full_topology  # noqa: F401
@@ -82,9 +87,10 @@ def boundary_functions(rho: float, chi: float) -> BoundaryEval:
                         kappa=kappa_function(rho, chi), h=h_function(rho))
 
 
-def _count_real(coeffs: np.ndarray) -> int:
-    roots = real_roots(coeffs, realness=1e-7, cluster=1e-9) if np.any(coeffs) else []
-    return sum(m for _, m in roots)
+def _count_real(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots, with multiplicity, of each row of (n, d) ascending coefficients."""
+    lo, _, real = _real_eigs(coeffs, realness=1e-7)
+    return lo + real.sum(axis=1)
 
 
 def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
@@ -125,23 +131,17 @@ def _bisect_transition(b: np.ndarray, c: np.ndarray, refine):
     """Locate the K where two real roots of K^2 b + c coalesce, by bisection
     on the real-root count, then identify the closest root pair there."""
     k_hi = 4.0
-    n_hi = _count_real(b * k_hi ** 2 + c)
-    lo = hi = None
-    prev = k_hi
-    kt = k_hi
-    for _ in range(60):
-        kt *= 0.5
-        if kt < 1e-9:
-            break
-        if _count_real(b * kt ** 2 + c) < n_hi:
-            lo, hi = kt, prev
-            break
-        prev = kt
-    if lo is None:
+    n_hi = _count_real((b * k_hi ** 2 + c)[None])[0]
+    # halve K from k_hi down to 1e-9 until the count drops, all halvings in one pass
+    kts = np.ldexp(k_hi, -np.arange(1, 61))
+    kts = kts[:np.argmax(kts < 1e-9)]
+    drop = np.flatnonzero(_count_real(b * (kts * kts)[:, None] + c) < n_hi)
+    if drop.size == 0:
         return None
+    lo, hi = float(kts[drop[0]]), (float(kts[drop[0] - 1]) if drop[0] else k_hi)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if _count_real(b * mid ** 2 + c) >= n_hi:
+        if _count_real((b * mid ** 2 + c)[None])[0] >= n_hi:
             hi = mid
         else:
             lo = mid
@@ -159,6 +159,223 @@ def _bisect_transition(b: np.ndarray, c: np.ndarray, refine):
     return float(0.5 * (lo + hi)), float(best)
 
 
+def _solve_2x2(jac: np.ndarray, rhs: np.ndarray):
+    """Stacked 2x2 solves: steps (m, 2) and which systems are singular.
+
+    np.linalg.solve rejects a whole stack for one singular system, so a
+    rejected stack is halved until each singular system fails alone.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.zeros(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(jac) == 1:
+            return np.zeros_like(rhs), np.ones(1, dtype=bool)
+        h = len(jac) // 2
+        (s1, f1), (s2, f2) = _solve_2x2(jac[:h], rhs[:h]), _solve_2x2(jac[h:], rhs[h:])
+        return np.concatenate([s1, s2]), np.concatenate([f1, f2])
+
+
+def _refine(table: np.ndarray, s: np.ndarray, k2: np.ndarray):
+    """2D Newton on (W, W') = 0 in the unknowns (s, K^2), one candidate per table.
+
+    ``table`` (m, 6, w) holds each candidate's rows b, c, b', c', b'', c''.
+    A candidate stops once both steps fall below 1e-15 (relative), or after
+    60 steps.  Returns (K, s, ok): ok is False where a step was singular, W
+    or W' exceeds 1e-8 of its scale, K^2 is not finite and positive, or the
+    two equations disagree on K^2.
+    """
+    s, k2 = s.astype(float), k2.astype(float)
+    ok = np.ones(len(s), dtype=bool)
+    width = table.shape[2]
+    # the running candidates: their index, coefficient j of their six rows at
+    # coef[j], and their (s, K^2)
+    run, coef, sr, kr = np.arange(len(s)), np.moveaxis(table, 2, 0), s.copy(), k2.copy()
+    for _ in range(60):
+        if run.size == 0:
+            break
+        v, at = np.zeros((run.size, 6)), sr[:, None]
+        for cj in coef[::-1]:
+            v = v * at + cj
+        w = kr[:, None] * v[:, ::2] + v[:, 1::2]            # W, W', W''
+        # the Jacobian [[W', b], [W'', b']] of (W, W') in (s, K^2), row by row
+        jac = np.hstack([w[:, 1:], v[:, ::2]])[:, [0, 2, 1, 3]].reshape(-1, 2, 2)
+        step, singular = _solve_2x2(jac, -w[:, :2])
+        if singular.any():
+            ok[run[singular]] = False
+            go = ~singular
+            run, coef, sr, kr, step = run[go], coef[:, go], sr[go], kr[go], step[go]
+        ds, dk2 = step.T
+        sr, kr = sr + ds, kr + dk2
+        s[run], k2[run] = sr, kr
+        go = ~((np.abs(ds) <= 1e-15 * (1.0 + np.abs(sr))) & (np.abs(dk2) <= 1e-15 * (1.0 + np.abs(kr))))
+        if not go.all():
+            run, coef, sr, kr = run[go], coef[:, go], sr[go], kr[go]
+    # W, W' at s and their scales, the same rows in |coefficient| at |s|
+    live = np.flatnonzero(ok)
+    sl, kl = s[live], k2[live]
+    rows = table[live, :4]
+    at = np.repeat(np.stack([sl, np.abs(sl)], axis=1), 4, axis=1)
+    bv, cv, bdv, cdv, ab, ac, abd, acd = _polyval_rows(
+        np.concatenate([rows, np.abs(rows)], axis=1).reshape(-1, width), at.ravel()).reshape(-1, 8).T
+    w_scale = np.abs(kl) * ab + ac + 1e-300
+    wd_scale = np.abs(kl) * abd + acd + 1e-300
+    good = ~((np.abs(kl * bv + cv) > 1e-8 * w_scale) | (np.abs(kl * bdv + cdv) > 1e-8 * wd_scale))
+    good &= np.isfinite(kl)
+    good[good] = kl[good] > 0.0
+    # consistency across the two equations, each in its own scaling
+    for n, d, scale in ((cv, bv, ab), (cdv, bdv, abd)):
+        i = np.flatnonzero(good & (np.abs(d) > 1e-10 * scale + 1e-300))
+        good[i[np.abs(-n[i] / d[i] - kl[i]) > 1e-8 * (1.0 + np.abs(kl[i]))]] = False
+    ok[live] = good
+    k = np.full(len(s), np.nan)
+    k[ok] = np.sqrt(k2[ok])
+    return k, s, ok
+
+
+def _kstar_tables(rho: np.ndarray, chi: float):
+    """Per rho: the rows b, c, b', c', b'', c'' of W = K^2 b + c (n, 6, 7),
+    ascending and zero-padded, their width, and the rim collision (K, s),
+    NaN where there is none."""
+    n = rho.size
+    table = np.zeros((n, 6, 7))
+    table[:, 0], table[:, 1] = walcher_split(rho, chi)
+    width = np.full(n, 7)
+    extra = np.full((n, 2), np.nan)
+    rim = np.flatnonzero(rho >= 2.0 - 1e-9)
+    if rim.size:
+        # on the rho = 2 boundary the polynomial keeps a permanent root at
+        # s_plus; deflate it from both coefficient arrays and also consider
+        # the K at which a genuine root collides with it
+        s_plus = np.tan(chi) + 1.0 / np.cos(chi)
+        rows = _deflate(table[rim, :2], s_plus)
+        table[rim, :2, :6], table[rim, :2, 6], width[rim] = rows, 0.0, 6
+        bv, cv = _polyval_rows(rows.reshape(-1, 6), np.full(2 * rim.size, s_plus)).reshape(-1, 2).T
+        meet = np.flatnonzero(np.abs(bv) > 1e-12)
+        q = -cv[meet] / bv[meet]
+        meet, q = meet[q > -1e-12], q[q > -1e-12]
+        # a genuine root collides with the permanent boundary root; the
+        # vault terminates here (K -> 0 as rho -> 2)
+        extra[rim[meet], 0], extra[rim[meet], 1] = np.sqrt(np.where(q > 0.0, q, 0.0)), s_plus
+    for i in (2, 4):
+        table[:, i:i + 2, :-1] = _derivative(table[:, i - 2:i])
+    return table, width, extra
+
+
+def _kstar_candidates(table: np.ndarray, width: np.ndarray, extra: np.ndarray):
+    """Distinct polished candidates per rho, in candidate order: keep, K and s (n, C).
+
+    The rim collision comes first, then K^2 from each equation at each real
+    root of the determinant, in root order, the first equation first; a
+    candidate within 1e-9 of an earlier one is that one again.
+    """
+    n = len(table)
+    # the determinant by np.convolve row by row: its sums are what the recorded
+    # separatrix depends on to the last bit
+    det = np.zeros((n, 12))
+    for t, w, d in zip(table, width, det):
+        conv = np.convolve(t[0, :w], t[3, :w - 1]) - np.convolve(t[2, :w - 1], t[1, :w])
+        d[:conv.size] = conv
+    roots, mult = _real_root_rows(det, realness=1e-8, cluster=1e-9)
+    row, col = np.nonzero(mult)
+    s0 = roots[row, col]
+    bv, cv, bdv, cdv = _polyval_rows(table[row, :4].reshape(-1, 7), np.repeat(s0, 4)).reshape(-1, 4).T
+    k2 = np.full((row.size, 2), np.nan)
+    for e, (num, den) in enumerate(((cv, bv), (cdv, bdv))):
+        i = np.flatnonzero(np.abs(den) > 1e-300)
+        k2[i, e] = -num[i] / den[i]
+    start = np.isfinite(k2)
+    start[start] = k2[start] > 0.0
+    pair, eq = np.nonzero(start)
+    got_k, got_s, got_ok = _refine(table[row[pair]], s0[pair], k2[pair, eq])
+    slots = 1 + 2 * roots.shape[1]
+    kk, ss = np.full((n, slots), np.nan), np.full((n, slots), np.nan)
+    kk[:, 0], ss[:, 0] = extra.T
+    keep = np.isfinite(kk)
+    at = (row[pair], 1 + 2 * col[pair] + eq)
+    kk[at], ss[at], keep[at] = got_k, got_s, got_ok
+    # the polished candidates to the front of each row, in order
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :max(keep.sum(axis=1).max(), 1)]
+    keep, kk, ss = (np.take_along_axis(a, order, axis=1) for a in (keep, kk, ss))
+    for j in range(1, keep.shape[1]):
+        i = np.flatnonzero(keep[:, j])
+        kj, sj = kk[i, j, None], ss[i, j, None]
+        far = (np.abs(kj - kk[i, :j]) > 1e-9 * (1.0 + kj)) \
+            | (np.abs(sj - ss[i, :j]) > 1e-9 * (1.0 + np.abs(sj)))
+        keep[i, j] = np.all(far | ~keep[i, :j], axis=1)
+    return keep, kk, ss
+
+
+def _kstar_validated(table: np.ndarray, keep: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """Candidates across whose K the real-root count rises: more real roots at
+    K (1 + 1e-5) than at K (1 - 1e-5).  A vault terminating at K = 0 has no
+    two-sided transition to test."""
+    vr, vc = np.nonzero(keep & (kk > 1e-7))
+    kv = kk[vr, vc]
+    k2 = np.concatenate([_scalar_pow(kv * (1 + 1e-5), 2), _scalar_pow(kv * (1 - 1e-5), 2)])
+    vr2 = np.concatenate([vr, vr])
+    above, below = _count_real(table[vr2, 0] * k2[:, None] + table[vr2, 1]).reshape(2, -1)
+    valid = np.zeros_like(keep)
+    valid[vr[above > below], vc[above > below]] = True
+    return valid
+
+
+def _k_star_rows(rhos, chi) -> list:
+    """`k_star` at every rho of one chi slice, in one array pass.
+
+    Returns, per rho, its KStar or the exception `k_star` raises there.
+    Only rows with no validated candidate enter the fallback tiers, one row
+    at a time.
+    """
+    out = [None] * len(rhos)
+    rho = np.array(rhos, dtype=float).reshape(-1)
+    for i in np.flatnonzero(~((0.0 < rho) & (rho <= 2.0 + 1e-12))):
+        out[i] = ValueError("rho must lie in (0, 2]")
+    idx = np.flatnonzero([o is None for o in out])
+    if not (-np.pi / 2 < chi < -np.pi / 6):
+        for i in idx:
+            out[i] = ValueError("chi must lie strictly between -pi/2 and -pi/6")
+        return out
+    if idx.size == 0:
+        return out
+    table, width, extra = _kstar_tables(rho[idx], chi)
+    keep, kk, ss = _kstar_candidates(table, width, extra)
+    valid = _kstar_validated(table, keep, kk)
+    for i, r in enumerate(idx):
+        if valid[i].any():
+            kv, sv = max(zip(kk[i, valid[i]].tolist(), ss[i, valid[i]].tolist()))
+        else:
+            got = _fallback(table[i], width[i], chi, extra[i], kk[i, keep[i]], ss[i, keep[i]])
+            if got is None:
+                out[r] = RuntimeError(f"no admissible double root at rho={rhos[r]}, chi={chi}")
+                continue
+            kv, sv = got
+        branch = "cusp" if abs(sv) <= 1e-6 else ("left" if sv < 0 else "right")
+        out[r] = KStar(k=kv, s_star=sv, branch=branch)
+    return out
+
+
+def _fallback(table: np.ndarray, width: int, chi: float, extra, ks, ss):
+    """(K, s) of one rho without a validated candidate, from the fallback tiers."""
+    def refine(s0: float, k2: float):
+        k, s, ok = _refine(table[None], np.array([s0]), np.array([k2]))
+        return (float(k[0]), float(s[0])) if ok[0] else None
+
+    b, c = table[0, :width], table[1, :width]
+    got = None
+    if chi < -np.pi / 2 + 1e-2:
+        # near the chi = -pi/2 plane the coalescing pair sits at s = O(eps)
+        # where the full polynomial is ill-conditioned; the truncation to
+        # quadratic order is exact there up to O(s*) relative corrections
+        got = _near_pi2_candidate(b, c, refine)
+    if got is None:
+        # generic fallback: bisection on the real-root-count transition
+        got = _bisect_transition(b, c, refine)
+    if got is not None:
+        return got
+    pool = [tuple(extra.tolist())] if np.isfinite(extra[0]) else list(zip(ks.tolist(), ss.tolist()))
+    return max(pool) if pool else None
+
+
 def k_star(rho: float, chi: float) -> KStar:
     """Double-root location of the reduction polynomial and the K it occurs at.
 
@@ -166,99 +383,14 @@ def k_star(rho: float, chi: float) -> KStar:
     inconsistent K^2 between the two linear equations, or not producing a
     real-root-count transition, are discarded; raises when none survives.
     """
-    if not (0.0 < rho <= 2.0 + 1e-12):
-        raise ValueError("rho must lie in (0, 2]")
-    if not (-np.pi / 2 < chi < -np.pi / 6):
-        raise ValueError("chi must lie strictly between -pi/2 and -pi/6")
-    rows = np.stack(walcher_split(rho, chi))
-    extra = []
-    if rho >= 2.0 - 1e-9:
-        # on the rho = 2 boundary the polynomial keeps a permanent root at
-        # s_plus; deflate it from both coefficient arrays and also consider
-        # the K at which a genuine root collides with it
-        s_plus = np.tan(chi) + 1.0 / np.cos(chi)
-        rows = _deflate(rows, s_plus)
-        bv, cv = _polyval_rows(rows, np.full(2, s_plus))
-        if abs(bv) > 1e-12 and -cv / bv > -1e-12:
-            # a genuine root collides with the permanent boundary root; the
-            # vault terminates here (K -> 0 as rho -> 2)
-            extra.append((float(np.sqrt(max(0.0, -cv / bv))), float(s_plus)))
-    # rows b, c, b', c', b'', c'' of W = K^2 b + c, ascending, zero-padded
-    table = np.zeros((6, rows.shape[1]))
-    table[:2] = rows
-    for i in (2, 4):
-        table[i:i + 2, :-1] = _derivative(table[i - 2:i])
-    b, c = table[:2]
-    det = np.convolve(b, table[3, :-1]) - np.convolve(table[2, :-1], c)
-    checks = np.vstack([table[:4], np.abs(table[:4])])
+    return _kstar_or_raise(_k_star_rows([rho], chi)[0])
 
-    def refine(s0: float, k2: float):
-        """2D Newton on (W, W') = 0 in the unknowns (s, K^2)."""
-        for _ in range(60):
-            v = _polyval_rows(table, np.full(6, s0))
-            w, wd, wdd = k2 * v[::2] + v[1::2]          # W, W', W''
-            try:
-                ds, dk2 = np.linalg.solve(np.array([[wd, v[0]], [wdd, v[2]]]), [-w, -wd])
-            except np.linalg.LinAlgError:
-                return None
-            s0 += ds
-            k2 += dk2
-            if abs(ds) <= 1e-15 * (1.0 + abs(s0)) and abs(dk2) <= 1e-15 * (1.0 + abs(k2)):
-                break
-        # W, W' at s0 and their scales, the same rows in |coefficient| at |s0|
-        bv, cv, bdv, cdv, ab, ac, abd, acd = _polyval_rows(checks, np.repeat([s0, abs(s0)], 4))
-        w_scale = abs(k2) * ab + ac + 1e-300
-        wd_scale = abs(k2) * abd + acd + 1e-300
-        if abs(k2 * bv + cv) > 1e-8 * w_scale or abs(k2 * bdv + cdv) > 1e-8 * wd_scale:
-            return None
-        if not np.isfinite(k2) or k2 <= 0.0:
-            return None
-        # consistency across the two equations, each in its own scaling
-        for n, d, scale in ((cv, bv, ab), (cdv, bdv, abd)):
-            if abs(d) > 1e-10 * scale + 1e-300 and abs(-n / d - k2) > 1e-8 * (1.0 + abs(k2)):
-                return None
-        return float(np.sqrt(k2)), float(s0)
 
-    candidates = list(extra)
-    for s0, _m in real_roots(det, cluster=1e-9):
-        bv, cv, bdv, cdv = _polyval_rows(table[:4], np.full(4, s0))
-        for k2 in [-n / d for n, d in ((cv, bv), (cdv, bdv)) if abs(d) > 1e-300]:
-            if not np.isfinite(k2) or k2 <= 0.0:
-                continue
-            got = refine(float(s0), float(k2))
-            if got is not None and all(abs(got[0] - kv) > 1e-9 * (1.0 + got[0])
-                                       or abs(got[1] - sv) > 1e-9 * (1.0 + abs(got[1]))
-                                       for kv, sv in candidates):
-                candidates.append(got)
-    validated = []
-    for kv, s0 in candidates:
-        if kv <= 1e-7:
-            # vault terminating at K = 0: no two-sided transition to test
-            continue
-        above = _count_real(b * (kv * (1 + 1e-5)) ** 2 + c)
-        below = _count_real(b * (kv * (1 - 1e-5)) ** 2 + c)
-        if above > below:
-            validated.append((kv, s0))
-    if validated:
-        pool = validated
-    else:
-        pool = []
-        if chi < -np.pi / 2 + 1e-2:
-            # near the chi = -pi/2 plane the coalescing pair sits at s = O(eps)
-            # where the full polynomial is ill-conditioned; the truncation to
-            # quadratic order is exact there up to O(s*) relative corrections
-            got = _near_pi2_candidate(b, c, refine)
-            if got is not None:
-                pool = [got]
-        if not pool:
-            # generic fallback: bisection on the real-root-count transition
-            bis = _bisect_transition(b, c, refine)
-            pool = [bis] if bis is not None else (extra or candidates)
-    if not pool:
-        raise RuntimeError(f"no admissible double root at rho={rho}, chi={chi}")
-    kv, s0 = max(pool)
-    branch = "cusp" if abs(s0) <= 1e-6 else ("left" if s0 < 0 else "right")
-    return KStar(k=kv, s_star=s0, branch=branch)
+def _kstar_or_raise(got):
+    """A row of `_k_star_rows`: its KStar, or raise its exception."""
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def cusp_location(chi: float, bracket: tuple[float, float] = (1.0 + 1e-6, 2.0)) -> tuple[float, float]:
@@ -297,14 +429,13 @@ def region_scan(chi: float, rho_steps: int, k_max: float, k_steps: int,
         raise ValueError("grid steps must be at least 2")
     rhos = (np.arange(rho_steps) + 0.5) * rho_max / rho_steps
     if on_separatrix:
-        cells = []
-        for r in rhos:
-            if abs(chi + np.pi / 2) <= 1e-11:
-                cells.append((float(r), g_function(float(r))))
-            elif abs(chi + np.pi / 6) <= 1e-11:
-                cells.append((float(r), f_function(float(r))))
-            else:
-                cells.append((float(r), k_star(float(r), chi).k))
+        if abs(chi + np.pi / 2) <= 1e-11:
+            ks = [g_function(float(r)) for r in rhos]
+        elif abs(chi + np.pi / 6) <= 1e-11:
+            ks = [f_function(float(r)) for r in rhos]
+        else:
+            ks = [_kstar_or_raise(got).k for got in _k_star_rows([float(r) for r in rhos], chi)]
+        cells = [(float(r), k) for r, k in zip(rhos, ks)]
     else:
         ks = (np.arange(k_steps) + 0.5) * k_max / k_steps
         cells = [(float(r), float(k)) for r in rhos for k in ks]
@@ -320,7 +451,7 @@ def scan_csv_lines(samples: list[RegionSample]):
 
 def separatrix_csv_lines(chi: float, rhos) -> "list[str]":
     lines = ["rho,chi,k_star,s_star,branch"]
-    for r in rhos:
-        ks = k_star(float(r), chi)
+    for r, ks in zip(rhos, _k_star_rows([float(r) for r in rhos], chi)):
+        ks = _kstar_or_raise(ks)
         lines.append(f"{r:.17g},{chi:.17g},{ks.k:.17g},{ks.s_star:.17g},{ks.branch}")
     return lines

@@ -29,6 +29,7 @@ def batch_reports():
     ("scan_chi_1.csv", "-1.0", []),
     ("scan_chi_pi6.csv", "-0.5235987755982988", []),
     ("scan_chi_1_on_separatrix.csv", "-1.0", ["--on-separatrix"]),
+    ("scan_chi_0.6_on_separatrix.csv", "-0.6", ["--on-separatrix"]),
 ])
 def test_scan_csv_matches_recorded_output(tmp_path, name, chi, extra):
     out = tmp_path / name
@@ -37,6 +38,27 @@ def test_scan_csv_matches_recorded_output(tmp_path, name, chi, extra):
     assert code == 0
     with open(os.path.join(DATA, name), "rb") as f:
         assert out.read_bytes() == f.read()
+
+
+@pytest.mark.parametrize("name, chi", [
+    ("separatrix_chi_1.csv", "-1.0"),                       # the rho = 2 row reaches the bisection
+    ("separatrix_chi_pi2_near.csv", "-1.5706963267948966"),  # -pi/2 + 1e-4: the near-pi/2 tier
+])
+def test_separatrix_csv_matches_recorded_output(tmp_path, name, chi):
+    out = tmp_path / name
+    assert main(["separatrix", f"--chi={chi}", "--output", str(out)]) == 0
+    with open(os.path.join(DATA, name), "rb") as f:
+        assert out.read_bytes() == f.read()
+
+
+def test_separatrix_failure_names_the_first_failing_rho(capsys):
+    # the slice fails at its first rho without an admissible double root
+    code = main(["separatrix", "--chi=-0.9", "--rho-min", "1.99999999", "--rho-max", "2",
+                 "--rho-steps", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["numerical failure: no admissible double root at "
+                                "rho=1.99999999, chi=-0.9"]
 
 
 def test_cells_cover_every_branch_family():

@@ -14,6 +14,7 @@ Regenerate with
 import os
 
 import numpy as np
+import pytest
 
 from octupolar import separatrix
 
@@ -61,6 +62,34 @@ def test_k_star_grid_matches_recorded_output(monkeypatch):
     assert won["pi2"] > 0 and won["bisect"] > 0
     assert any(r[2] == "error" for r in rows)
     assert {r[4] for r in rows if r[2] != "error"} == {"left", "right", "cusp"}
+
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_chi_columns_as_batches_match_recorded_output(monkeypatch, shuffled):
+    # each chi column is one batch; a row's answer must not depend on which
+    # rows share its batch, or in what order
+    won = {"pi2": 0, "bisect": 0}
+    for tier, name in (("pi2", "_near_pi2_candidate"), ("bisect", "_bisect_transition")):
+        def wrapper(*args, tier=tier, fn=getattr(separatrix, name)):
+            got = fn(*args)
+            won[tier] += got is not None
+            return got
+        monkeypatch.setattr(separatrix, name, wrapper)
+    order = np.random.default_rng(3).permutation(len(RHOS)) if shuffled else range(len(RHOS))
+    got = {}
+    for chi in CHIS:
+        rhos = [RHOS[i] for i in order]
+        for rho, ks in zip(rhos, separatrix._k_star_rows(rhos, chi)):
+            if isinstance(ks, RuntimeError):
+                got[rho, chi] = f"{rho:.17g},{chi:.17g},error,{ks}"
+            else:
+                got[rho, chi] = f"{rho:.17g},{chi:.17g},{ks.k:.17g},{ks.s_star:.17g},{ks.branch}"
+    with open(DATA) as f:
+        recorded = f.read().splitlines()
+    assert recorded == ["rho,chi,k,s_star,branch"] + [got[rho, chi] for rho in RHOS for chi in CHIS]
+    assert sum("error" in ln for ln in recorded) == 7
+    assert won["pi2"] > 0 and won["bisect"] > 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from octupolar import (
     k_star, region_scan,
 )
 from octupolar.separatrix import (
-    f_function, g_function, h_function, kappa_function, scan_csv_lines,
+    _solve_2x2, f_function, g_function, h_function, kappa_function, scan_csv_lines,
     separatrix_csv_lines,
 )
 from octupolar.eigen import walcher_split
@@ -97,6 +97,16 @@ class TestKStar:
             k_star(0.0, -PI / 3)
         with pytest.raises(ValueError):
             k_star(1.0, -PI / 2)
+
+    def test_singular_step_fails_alone(self):
+        # a stack with singular systems solves the others as np.linalg.solve does one at a time
+        jac = rng.normal(size=(7, 2, 2))
+        jac[[1, 4, 5], :, 0] = 0.0
+        rhs = rng.normal(size=(7, 2))
+        step, singular = _solve_2x2(jac, rhs)
+        assert singular.tolist() == [False, True, False, False, True, True, False]
+        for j, r, got in zip(jac[~singular], rhs[~singular], step[~singular]):
+            assert np.array_equal(got, np.linalg.solve(j, r))
 
     def test_cross_checked_consistency(self):
         # the double root satisfies both the polynomial and its derivative
