@@ -155,18 +155,19 @@ def _companion_roots(red: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return roots
 
 
-def _real_eigs(coeffs: np.ndarray, realness: float):
+def _real_eigs(coeffs: np.ndarray, realness: float, trim: float = 1e-12):
     """Companion roots of each row of (n, d) ascending coefficients, as `real_roots` finds them.
 
     Each row is scaled by its largest |coefficient| and trimmed of
-    coefficients below 1e-12 at both ends: s = 0 is a root of multiplicity
-    lo.  Returns lo (n,), the roots (n, d - 1) and whether each is real,
+    coefficients up to ``trim`` at both ends, keeping the constant one at
+    least: s = 0 is a root of multiplicity lo.  Returns lo (n,), the roots
+    (n, d - 1), NaN past each row's degree, and whether each is real,
     |Im| <= realness * (1 + |Re|).  An all-zero row has no roots.
     """
     n, width = coeffs.shape
     scale = np.abs(coeffs).max(axis=1, keepdims=True)
     red = coeffs / np.where(scale > 0.0, scale, 1.0)
-    big = np.abs(red) > 1e-12
+    big = np.abs(red) > trim
     lo = big.argmax(axis=1)
     big[:, 0] = True
     hi = width - big[:, ::-1].argmax(axis=1)
@@ -491,8 +492,7 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
     rho, k = rho[:, None], k[:, None]
     co, si = np.cos(chi)[:, None], np.sin(chi)[:, None]
     coeffs = b * k * k + c
-    scale = np.abs(coeffs).max(axis=1, keepdims=True)
-    deg6_lost = np.abs(coeffs[:, 6]) <= 1e-10 * scale[:, 0]
+    deg6_lost = np.abs(coeffs[:, 6]) <= 1e-10 * np.abs(coeffs).max(axis=1)
     work = coeffs
     rim = np.abs(rho[:, 0] - 2.0) <= 1e-9
     if rim.any():
@@ -508,21 +508,13 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
         work = coeffs.copy()
         work[rows, :6] = _deflate(coeffs[rows], s_plus[rows])
         work[rows, 6] = 0.0
-        scale = np.abs(work).max(axis=1, keepdims=True)
-    # trim coefficients below 1e-10 of the largest from both ends, keeping the
-    # constant one at least: s = 0 is a root of multiplicity lo, and the rest
-    # has degree hi - 1 - lo
-    big = np.abs(work) > 1e-10 * scale
-    lo = big.argmax(axis=1)
-    big[:, 0] = True
-    hi = 7 - big[:, ::-1].argmax(axis=1)
-    lo = np.minimum(lo, hi - 1)
-    deg = hi - lo - 1
-    roots = _companion_roots(work / scale, lo, hi)
+    # s = 0 is a root of multiplicity lo
+    lo, roots, real = _real_eigs(work, realness=1e-9, trim=1e-10)
+    deg = (~np.isnan(roots)).sum(axis=1)
 
     # cells with no two roots within the pairing distance have single roots only
     s_root = roots.real.copy()
-    m_root = (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots.real))).astype(int)
+    m_root = real.astype(int)
     close = (np.abs(roots[:, :, None] - roots[:, None]) <= 1e-5 * (1.0 + np.abs(roots))[:, :, None]) \
         & _OFF_DIAGONAL
     pairing = np.flatnonzero(close.any(axis=(1, 2)))

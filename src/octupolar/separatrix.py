@@ -10,8 +10,8 @@ linear system in K^2 whose compatibility condition is a polynomial of
 degree 10 in the root location.  K* is solved for all rho of one chi
 slice in one array pass: the determinant roots, the Newton polish of every
 candidate and the real-root counts that validate them run stacked over the
-slice, and only rows left without a validated candidate go through the
-fallback tiers one at a time.  The two vaults meet along the cusp line
+slice, and each fallback tier runs stacked over the rows still left without
+an answer.  The two vaults meet along the cusp line
 chi = -arcsin(1/rho), K = h(rho).
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (_deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs, _real_root_rows,
-                    _scalar_pow, walcher_split)
+from .eigen import (_companion_roots, _deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs,
+                    _real_root_rows, _scalar_pow, walcher_split)
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import critical_point_totals, full_topology  # noqa: F401
@@ -93,70 +93,87 @@ def _count_real(coeffs: np.ndarray) -> np.ndarray:
     return lo + real.sum(axis=1)
 
 
-def _near_pi2_candidate(b: np.ndarray, c: np.ndarray, refine):
-    """Double root of the quadratic truncation S0 + S1 s + S2 s^2.
+def _largest(row: np.ndarray, k: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Per row of n, the largest of its candidates (K, s) = (k, s)[row == i] as
+    max() orders pairs: K first, then s, the first of equal ones.  Returns
+    K and s (2, n), NaN for a row without candidates."""
+    order = np.lexsort((np.arange(row.size), -s, -k, row))
+    pick = order[np.unique(row[order], return_index=True)[1]]
+    out = np.full((2, n), np.nan)
+    out[:, row[pick]] = k[pick], s[pick]
+    return out
+
+
+def _near_pi2_candidate(table: np.ndarray):
+    """Double root of the quadratic truncation S0 + S1 s + S2 s^2, per row of
+    (m, 6, 7) tables: (K, s) (m,), NaN where there is none.
 
     Valid when the coalescence happens at small s: requiring the quadratic
-    discriminant to vanish is itself a quadratic equation in K^2.
+    discriminant to vanish is itself a quadratic equation in K^2.  A
+    candidate keeps its polished (K, s) when the polish stays within 1e-3 of
+    its K.
     """
+    b, c = table[:, 0, :3].T, table[:, 1, :3].T
     # S_i = K^2 b_i + c_i; discriminant S1^2 - 4 S2 S0 = A K^4 + B K^2 + C
     aa = b[1] * b[1] - 4.0 * (b[2] * b[0])
     bb = 2.0 * b[1] * c[1] - 4.0 * (b[2] * c[0] + c[2] * b[0])
     cc = c[1] * c[1] - 4.0 * c[2] * c[0]
-    best = None
     with np.errstate(divide="ignore", invalid="ignore"):    # a root-free slot may hold 0 / 0
-        k2s, mult = _quad_rows(aa, bb, cc, snap=0.0)
-    for k2 in k2s[mult > 0]:
-        if k2 <= 0.0:
-            continue
+        k2, mult = _quad_rows(aa, bb, cc, snap=0.0)
         s1 = k2 * b[1] + c[1]
         s2 = k2 * b[2] + c[2]
-        if s2 == 0.0:
-            continue
         s0 = -s1 / (2.0 * s2)
-        if abs(s0) > 0.05:
-            continue  # truncation only trustworthy for small s
-        kv = float(np.sqrt(k2))
-        got = refine(float(s0), float(k2))
-        if got is not None and abs(got[0] - kv) <= 1e-3 * (1.0 + kv):
-            cand = got
-        else:
-            cand = (kv, float(s0))
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best
+        # the truncation is only trustworthy for small s
+        row, slot = np.nonzero(((mult > 0) & (k2 > 0.0) & (s2 != 0.0) & (np.abs(s0) <= 0.05)).T)
+    k2, s0 = k2[slot, row], s0[slot, row]
+    kv = np.sqrt(k2)
+    k, s, ok = _refine(table[row], s0, k2)
+    ok &= np.abs(k - kv) <= 1e-3 * (1.0 + kv)
+    return _largest(row, np.where(ok, k, kv), np.where(ok, s, s0), len(table))
 
 
-def _bisect_transition(b: np.ndarray, c: np.ndarray, refine):
-    """Locate the K where two real roots of K^2 b + c coalesce, by bisection
-    on the real-root count, then identify the closest root pair there."""
+def _bisect_transition(table: np.ndarray):
+    """Per row of (m, 6, 7) tables, the K where two real roots of K^2 b + c
+    coalesce, by bisection on the real-root count, and the closest root pair
+    there: (K, s) (m,), NaN where the count does not drop below K = 4."""
+    n = len(table)
+    out = np.full((2, n), np.nan)
+    b, c = table[:, 0], table[:, 1]
     k_hi = 4.0
-    n_hi = _count_real((b * k_hi ** 2 + c)[None])[0]
+    n_hi = _count_real(b * k_hi ** 2 + c)
     # halve K from k_hi down to 1e-9 until the count drops, all halvings in one pass
     kts = np.ldexp(k_hi, -np.arange(1, 61))
     kts = kts[:np.argmax(kts < 1e-9)]
-    drop = np.flatnonzero(_count_real(b * (kts * kts)[:, None] + c) < n_hi)
-    if drop.size == 0:
-        return None
-    lo, hi = float(kts[drop[0]]), (float(kts[drop[0] - 1]) if drop[0] else k_hi)
+    drop = _count_real((b[:, None] * (kts * kts)[:, None] + c[:, None]).reshape(-1, 7)) \
+        .reshape(n, kts.size) < n_hi[:, None]
+    rows = np.flatnonzero(drop.any(axis=1))
+    if rows.size == 0:
+        return out
+    first = drop[rows].argmax(axis=1)
+    b, c, n_hi = b[rows], c[rows], n_hi[rows]
+    lo, hi = kts[first], np.where(first > 0, kts[first - 1], k_hi)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if _count_real((b * mid ** 2 + c)[None])[0] >= n_hi:
-            hi = mid
-        else:
-            lo = mid
-    k_t = lo
-    coeffs = b * k_t ** 2 + c
-    roots = np.roots(coeffs[::-1] / np.max(np.abs(coeffs)))
-    i, j = np.triu_indices(len(roots), 1)
-    if i.size == 0:
-        return None
-    m = np.argmin(np.abs(roots[i] - roots[j]))      # the first closest pair
-    best = 0.5 * (roots[i[m]] + roots[j[m]]).real
-    got = refine(float(best), float(k_t ** 2))
-    if got is not None:
-        return got
-    return float(0.5 * (lo + hi)), float(best)
+        up = _count_real(b * _scalar_pow(mid, 2)[:, None] + c) >= n_hi
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    k2 = _scalar_pow(lo, 2)
+    coeffs = b * k2[:, None] + c
+    # the roots as np.roots orders them: the companion roots, then the s = 0 ones
+    red = coeffs / np.abs(coeffs).max(axis=1, keepdims=True)
+    nonzero = red != 0.0
+    nz_lo, nz_hi = nonzero.argmax(axis=1), 7 - nonzero[:, ::-1].argmax(axis=1)
+    roots = _companion_roots(red, nz_lo, nz_hi)
+    slot = np.arange(6)
+    roots[(slot >= (nz_hi - nz_lo - 1)[:, None]) & (slot < (nz_hi - 1)[:, None])] = 0.0
+    i, j = np.triu_indices(6, 1)
+    dist = np.abs(roots[:, i] - roots[:, j])
+    dist[np.isnan(dist)] = np.inf
+    m = dist.argmin(axis=1)                             # the first closest pair
+    pair = np.flatnonzero(np.isfinite(dist[np.arange(rows.size), m]))
+    best = 0.5 * (roots[pair, i[m[pair]]] + roots[pair, j[m[pair]]]).real
+    k, s, ok = _refine(table[rows[pair]], best, k2[pair])
+    out[:, rows[pair]] = np.where(ok, k, 0.5 * (lo[pair] + hi[pair])), np.where(ok, s, best)
+    return out
 
 
 def _solve_2x2(jac: np.ndarray, rhs: np.ndarray):
@@ -323,8 +340,8 @@ def _k_star_rows(rhos, chi) -> list:
     """`k_star` at every rho of one chi slice, in one array pass.
 
     Returns, per rho, its KStar or the exception `k_star` raises there.
-    Only rows with no validated candidate enter the fallback tiers, one row
-    at a time.
+    Rows with no validated candidate go through the fallback tiers, each
+    tier over all the rows still without an answer.
     """
     out = [None] * len(rhos)
     rho = np.array(rhos, dtype=float).reshape(-1)
@@ -339,41 +356,28 @@ def _k_star_rows(rhos, chi) -> list:
         return out
     table, width, extra = _kstar_tables(rho[idx], chi)
     keep, kk, ss = _kstar_candidates(table, width, extra)
-    valid = _kstar_validated(table, keep, kk)
-    for i, r in enumerate(idx):
-        if valid[i].any():
-            kv, sv = max(zip(kk[i, valid[i]].tolist(), ss[i, valid[i]].tolist()))
-        else:
-            got = _fallback(table[i], width[i], chi, extra[i], kk[i, keep[i]], ss[i, keep[i]])
-            if got is None:
-                out[r] = RuntimeError(f"no admissible double root at rho={rhos[r]}, chi={chi}")
-                continue
-            kv, sv = got
-        branch = "cusp" if abs(sv) <= 1e-6 else ("left" if sv < 0 else "right")
-        out[r] = KStar(k=kv, s_star=sv, branch=branch)
+    row, col = np.nonzero(_kstar_validated(table, keep, kk))
+    kv, sv = _largest(row, kk[row, col], ss[row, col], idx.size)
+    # near the chi = -pi/2 plane the coalescing pair sits at s = O(eps) where
+    # the full polynomial is ill-conditioned; the truncation to quadratic
+    # order is exact there up to O(s*) relative corrections.  The generic
+    # fallback is bisection on the real-root-count transition.
+    tiers = (_near_pi2_candidate, _bisect_transition) if chi < -np.pi / 2 + 1e-2 else (_bisect_transition,)
+    for tier in tiers:
+        rows = np.flatnonzero(np.isnan(kv))
+        if rows.size:       # an empty stack answers nothing but still sets up a polish
+            kv[rows], sv[rows] = tier(table[rows])
+    # the last resort: the rim collision, else the largest unvalidated candidate
+    rows = np.flatnonzero(np.isnan(kv))
+    pool = keep[rows]
+    pool[np.isfinite(extra[rows, 0]), 1:] = False
+    row, col = np.nonzero(pool)
+    kv[rows], sv[rows] = _largest(row, kk[rows[row], col], ss[rows[row], col], rows.size)
+    for r, k, s in zip(idx, kv.tolist(), sv.tolist()):
+        branch = "cusp" if abs(s) <= 1e-6 else ("left" if s < 0 else "right")
+        out[r] = RuntimeError(f"no admissible double root at rho={rhos[r]}, chi={chi}") \
+            if np.isnan(k) else KStar(k=k, s_star=s, branch=branch)
     return out
-
-
-def _fallback(table: np.ndarray, width: int, chi: float, extra, ks, ss):
-    """(K, s) of one rho without a validated candidate, from the fallback tiers."""
-    def refine(s0: float, k2: float):
-        k, s, ok = _refine(table[None], np.array([s0]), np.array([k2]))
-        return (float(k[0]), float(s[0])) if ok[0] else None
-
-    b, c = table[0, :width], table[1, :width]
-    got = None
-    if chi < -np.pi / 2 + 1e-2:
-        # near the chi = -pi/2 plane the coalescing pair sits at s = O(eps)
-        # where the full polynomial is ill-conditioned; the truncation to
-        # quadratic order is exact there up to O(s*) relative corrections
-        got = _near_pi2_candidate(b, c, refine)
-    if got is None:
-        # generic fallback: bisection on the real-root-count transition
-        got = _bisect_transition(b, c, refine)
-    if got is not None:
-        return got
-    pool = [tuple(extra.tolist())] if np.isfinite(extra[0]) else list(zip(ks.tolist(), ss.tolist()))
-    return max(pool) if pool else None
 
 
 def k_star(rho: float, chi: float) -> KStar:

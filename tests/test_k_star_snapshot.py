@@ -6,7 +6,10 @@ interior, the near-pi/2 quadratic truncation (`_near_pi2_candidate`) and the
 bisection on the real-root count (`_bisect_transition`) within 1e-3 of
 chi = -pi/2 and next to chi = -pi/6, the rim deflation for rho >= 2 - 1e-9,
 and points where no admissible double root exists (recorded as the error).
-Regenerate with
+Both tests count the rows that enter each fallback tier and the rows it
+answers, and pin those counts to the ones recorded with the grid: 88 rows
+enter the near-pi/2 tier and it answers 44; 104 enter the bisection and it
+answers 36.  Regenerate with
 
     PYTHONPATH=src python tests/test_k_star_snapshot.py > tests/data/k_star_grid.csv
 """
@@ -40,42 +43,40 @@ def lines():
                 yield f"{rho:.17g},{chi:.17g},{ks.k:.17g},{ks.s_star:.17g},{ks.branch}"
 
 
-def test_k_star_grid_matches_recorded_output(monkeypatch):
-    won = {"pi2": 0, "bisect": 0}
+#: rows (entered, answered) per fallback tier over the grid
+TIER_ROWS = {"_near_pi2_candidate": (88, 44), "_bisect_transition": (104, 36)}
 
-    def counting(tier, fn):
-        def wrapper(*args):
-            got = fn(*args)
-            won[tier] += got is not None
+
+def count_tier_rows(monkeypatch):
+    """Wrap both fallback tiers; the returned dict counts [entered, answered] rows per tier."""
+    rows = {name: [0, 0] for name in TIER_ROWS}
+    for name in TIER_ROWS:
+        def wrapper(table, name=name, fn=getattr(separatrix, name)):
+            got = fn(table)
+            rows[name][0] += len(table)
+            rows[name][1] += int(np.isfinite(got[0]).sum())
             return got
-        return wrapper
+        monkeypatch.setattr(separatrix, name, wrapper)
+    return rows
 
-    monkeypatch.setattr(separatrix, "_near_pi2_candidate",
-                        counting("pi2", separatrix._near_pi2_candidate))
-    monkeypatch.setattr(separatrix, "_bisect_transition",
-                        counting("bisect", separatrix._bisect_transition))
+
+def test_k_star_grid_matches_recorded_output(monkeypatch):
+    tier_rows = count_tier_rows(monkeypatch)
     got = list(lines())
     with open(DATA) as f:
         assert "\n".join(got) + "\n" == f.read()
     # the grid keeps reaching both fallback tiers, the error and every branch
     rows = [ln.split(",") for ln in got[1:]]
-    assert won["pi2"] > 0 and won["bisect"] > 0
+    assert {name: tuple(n) for name, n in tier_rows.items()} == TIER_ROWS
     assert any(r[2] == "error" for r in rows)
     assert {r[4] for r in rows if r[2] != "error"} == {"left", "right", "cusp"}
-
 
 
 @pytest.mark.parametrize("shuffled", [False, True])
 def test_chi_columns_as_batches_match_recorded_output(monkeypatch, shuffled):
     # each chi column is one batch; a row's answer must not depend on which
     # rows share its batch, or in what order
-    won = {"pi2": 0, "bisect": 0}
-    for tier, name in (("pi2", "_near_pi2_candidate"), ("bisect", "_bisect_transition")):
-        def wrapper(*args, tier=tier, fn=getattr(separatrix, name)):
-            got = fn(*args)
-            won[tier] += got is not None
-            return got
-        monkeypatch.setattr(separatrix, name, wrapper)
+    tier_rows = count_tier_rows(monkeypatch)
     order = np.random.default_rng(3).permutation(len(RHOS)) if shuffled else range(len(RHOS))
     got = {}
     for chi in CHIS:
@@ -89,7 +90,7 @@ def test_chi_columns_as_batches_match_recorded_output(monkeypatch, shuffled):
         recorded = f.read().splitlines()
     assert recorded == ["rho,chi,k,s_star,branch"] + [got[rho, chi] for rho in RHOS for chi in CHIS]
     assert sum("error" in ln for ln in recorded) == 7
-    assert won["pi2"] > 0 and won["bisect"] > 0
+    assert {name: tuple(n) for name, n in tier_rows.items()} == TIER_ROWS
 
 
 if __name__ == "__main__":

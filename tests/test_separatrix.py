@@ -6,8 +6,8 @@ from octupolar import (
     k_star, region_scan,
 )
 from octupolar.separatrix import (
-    _solve_2x2, f_function, g_function, h_function, kappa_function, scan_csv_lines,
-    separatrix_csv_lines,
+    _bisect_transition, _kstar_tables, _near_pi2_candidate, _solve_2x2, f_function, g_function,
+    h_function, kappa_function, scan_csv_lines, separatrix_csv_lines,
 )
 from octupolar.eigen import walcher_split
 
@@ -107,6 +107,21 @@ class TestKStar:
         assert singular.tolist() == [False, True, False, False, True, True, False]
         for j, r, got in zip(jac[~singular], rhs[~singular], step[~singular]):
             assert np.array_equal(got, np.linalg.solve(j, r))
+
+    @pytest.mark.parametrize("tier", [_near_pi2_candidate, _bisect_transition])
+    def test_fallback_tier_rows_as_alone(self, tier):
+        # a stack mixing rows the tier answers with rows it cannot, among them
+        # rho = 2 at chi = -1, whose real-root count never drops: every row
+        # gets what it gets alone, bit for bit
+        cases = [(0.3, -PI / 2 + 1e-4), (1.5, -PI / 2 + 1e-4), (2.0, -1.0), (0.5, -1.0),
+                 (1.0, -PI / 6 - 1e-5), (1.8, -PI / 2 + 1e-6), (2.0, -PI / 2 + 1e-4)]
+        table = np.concatenate([_kstar_tables(np.array([rho]), chi)[0] for rho, chi in cases])
+        got = tier(table)
+        assert got.shape == (2, len(cases))
+        assert np.isnan(got[0, 2]) and np.isnan(got).any() and np.isfinite(got).any()
+        for i in range(len(cases)):
+            assert np.array_equal(got[:, i], tier(table[i:i + 1])[:, 0], equal_nan=True)
+        assert tier(table[:0]).shape == (2, 0)
 
     def test_cross_checked_consistency(self):
         # the double root satisfies both the polynomial and its derivative
