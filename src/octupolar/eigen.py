@@ -139,7 +139,7 @@ def _scalar_pow(a, e: int) -> np.ndarray:
 def _companion_roots(red: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Roots of each row's polynomial red[lo:hi] (ascending, nonzero at both ends).
 
-    Companions are built as np.roots builds them, one stacked eigvals call
+    Companions are built as numpy.roots builds them, one stacked eigvals call
     per degree.  Returns (n, d - 1) complex for (n, d) rows, NaN past each
     row's degree.
     """

@@ -158,7 +158,7 @@ def _bisect_transition(table: np.ndarray):
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     k2 = _scalar_pow(lo, 2)
     coeffs = b * k2[:, None] + c
-    # the roots as np.roots orders them: the companion roots, then the s = 0 ones
+    # the roots in numpy.roots order: the companion roots, then the s = 0 ones
     red = coeffs / np.abs(coeffs).max(axis=1, keepdims=True)
     nonzero = red != 0.0
     nz_lo, nz_hi = nonzero.argmax(axis=1), 7 - nonzero[:, ::-1].argmax(axis=1)
