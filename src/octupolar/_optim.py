@@ -177,16 +177,34 @@ def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
     earlier kept row of its cell closer than ``tol`` in class distance, the
     smaller of max(|x - y|, |lx - ly|) and max(|x + y|, |lx + ly|); that row
     then sums the multiplicities.  Returns (keep mask, merged multiplicities).
+
+    Only rows that can merge are compared.  A close pair has
+    ||lx| - |ly|| <= min(|lx - ly|, |lx + ly|) < tol, also in floating
+    point, so sorting a cell's rows by |lam| and cutting wherever
+    consecutive |lam| differ by tol or more (or are NaN) puts both rows of
+    a close pair in one run.  Whether a row is kept, and where it merges,
+    then depends only on the earlier rows of its run, so each run of two
+    or more rows goes through the all-pairs comparison on its own, in row
+    order; a block without such a run returns at once.
     """
-    if cell.size == 0:
-        return np.zeros(0, dtype=bool), mult
-    first = np.concatenate(([True], cell[1:] != cell[:-1]))
-    group = np.cumsum(first) - 1
-    pos = np.arange(cell.size) - np.flatnonzero(first)[group]
+    keep = np.ones(cell.size, dtype=bool)
+    mag = np.abs(lam)
+    order = np.lexsort((mag, cell))
+    m, c = mag[order], cell[order]
+    joined = (c[1:] == c[:-1]) & (m[1:] - m[:-1] < tol)
+    if not joined.any():
+        return keep, mult
+    start = np.concatenate(([True], ~joined))
+    member = ~start | np.concatenate((joined, [False]))
+    group = np.cumsum(start[member]) - 1
+    rows = order[member]
+    by_row = np.lexsort((rows, group))
+    rows, group = rows[by_row], group[by_row]
+    pos = np.arange(rows.size) - np.searchsorted(group, group)
     shape = (group[-1] + 1, pos.max() + 1)
     xp = np.full(shape + (3,), np.nan)
     lp = np.full(shape, np.nan)
-    xp[group, pos], lp[group, pos] = x, lam
+    xp[group, pos], lp[group, pos] = x[rows], lam[rows]
     diff, pair_sum = xp[:, :, None] - xp[:, None], xp[:, :, None] + xp[:, None]
     d_same = np.maximum(np.sqrt((diff * diff).sum(axis=-1)), np.abs(lp[:, :, None] - lp[:, None]))
     d_flip = np.maximum(np.sqrt((pair_sum * pair_sum).sum(axis=-1)),
@@ -194,18 +212,20 @@ def dedupe_rows(cell: np.ndarray, x: np.ndarray, lam: np.ndarray,
     close = np.minimum(d_same, d_flip) < tol      # padding is NaN, never close
     close &= np.tri(shape[1], k=-1, dtype=bool)     # only earlier rows absorb later ones
     if not close.any():
-        return np.ones(cell.size, dtype=bool), mult
+        return keep, mult
     kept = np.zeros(shape, dtype=bool)
     kept[group, pos] = True
     mp = np.zeros(shape, dtype=int)
-    mp[group, pos] = mult
+    mp[group, pos] = mult[rows]
     for j in np.flatnonzero(close.any(axis=(0, 2))):
         hit = close[:, j, :j] & kept[:, :j]
-        rows = np.flatnonzero(kept[:, j] & hit.any(axis=1))
-        into = hit[rows].argmax(axis=1)
-        kept[rows, j] = False
-        mp[rows, into] += mp[rows, j]
-    return kept[group, pos], mp[group, pos]
+        runs = np.flatnonzero(kept[:, j] & hit.any(axis=1))
+        into = hit[runs].argmax(axis=1)
+        kept[runs, j] = False
+        mp[runs, into] += mp[runs, j]
+    mult = np.array(mult, dtype=int)
+    keep[rows], mult[rows] = kept[group, pos], mp[group, pos]
+    return keep, mult
 
 
 def dedupe_classes(points, tol: float = 1e-8):

@@ -19,6 +19,7 @@ chi -> -chi - pi/3 is a mirror reflection (fixed point chi = -pi/6).
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -78,7 +79,7 @@ class OrientedParams:
     bigk: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and np.isfinite(self.chi) and np.isfinite(self.bigk)):
+        if not (math.isfinite(self.rho) and math.isfinite(self.chi) and math.isfinite(self.bigk)):
             raise ValueError("parameters must be finite")
         if self.rho < -1e-12 or self.rho > 2.0 + 1e-9:
             raise ValueError(f"rho must lie in [0, 2], got {self.rho}")

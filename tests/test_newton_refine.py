@@ -1,12 +1,15 @@
 """The batched bordered Newton refinement and the class dedupe in `_optim`."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 
-from octupolar import OrientedParams, from_rho_chi_K, solve_oriented, tetrahedral_tensor
+from octupolar import OrientedParams, eigen, from_rho_chi_K, solve_oriented, tetrahedral_tensor
+from octupolar import _optim
 from octupolar._optim import (_bordered, _bordered_step, _coefficients, dedupe_classes,
-                              fibonacci_sphere, newton_refine, potential_batch, residual_batch)
+                              dedupe_rows, fibonacci_sphere, newton_refine, potential_batch,
+                              residual_batch)
 
 PI = np.pi
 
@@ -95,3 +98,132 @@ def test_dedupe_classes_matches_pairwise_first_seen_merge():
     assert [(id(x), lam, payload) for x, lam, payload in got] \
         == [(id(x), lam, payload) for x, lam, payload in want]
     assert dedupe_classes([], tol=1e-6) == []
+
+
+def padded_dedupe_reference(cell, x, lam, mult, tol=1e-8):
+    """`dedupe_rows` as all pairs of every cell, padded to the longest cell, in one tensor."""
+    if cell.size == 0:
+        return np.zeros(0, dtype=bool), mult
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
+    group = np.cumsum(first) - 1
+    pos = np.arange(cell.size) - np.flatnonzero(first)[group]
+    shape = (group[-1] + 1, pos.max() + 1)
+    xp = np.full(shape + (3,), np.nan)
+    lp = np.full(shape, np.nan)
+    xp[group, pos], lp[group, pos] = x, lam
+    diff, pair_sum = xp[:, :, None] - xp[:, None], xp[:, :, None] + xp[:, None]
+    d_same = np.maximum(np.sqrt((diff * diff).sum(axis=-1)), np.abs(lp[:, :, None] - lp[:, None]))
+    d_flip = np.maximum(np.sqrt((pair_sum * pair_sum).sum(axis=-1)),
+                        np.abs(lp[:, :, None] + lp[:, None]))
+    close = np.minimum(d_same, d_flip) < tol
+    close &= np.tri(shape[1], k=-1, dtype=bool)
+    if not close.any():
+        return np.ones(cell.size, dtype=bool), mult
+    kept = np.zeros(shape, dtype=bool)
+    kept[group, pos] = True
+    mp = np.zeros(shape, dtype=int)
+    mp[group, pos] = mult
+    for j in np.flatnonzero(close.any(axis=(0, 2))):
+        hit = close[:, j, :j] & kept[:, :j]
+        rows = np.flatnonzero(kept[:, j] & hit.any(axis=1))
+        into = hit[rows].argmax(axis=1)
+        kept[rows, j] = False
+        mp[rows, into] += mp[rows, j]
+    return kept[group, pos], mp[group, pos]
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def random_dedupe_block(rng, tol):
+    """Rows of a few cells built around a few classes each, in shuffled order within a cell.
+
+    Each row is one of: an exact or near duplicate of a class, its antipode,
+    its mirror image (x1 -> -x1) with equal lam, a class with |lam| < tol,
+    a step of a chain whose neighbours are close but whose ends are not, a
+    NaN lam, or a fresh random row.  Half the cells reuse the classes of the
+    cell before, which rows must not merge across.
+    """
+    cells, xs, lams = [], [], []
+    for c in np.sort(rng.choice(40, size=rng.integers(1, 10), replace=False)):
+        if not cells or rng.random() < 0.5:
+            base = [(_unit(rng.normal(size=3)), rng.normal()) for _ in range(rng.integers(1, 4))]
+            base.append((_unit(rng.normal(size=3)), rng.uniform(-tol, tol)))
+        rows = []
+        for kind in rng.integers(0, 8, size=rng.integers(1, 10)):
+            bx, bl = base[rng.integers(len(base))]
+            eps = rng.uniform(0.0, 2.0 * tol)
+            if kind == 0:
+                rows.append((bx, bl))
+            elif kind == 1:
+                rows.append((bx + eps * _unit(rng.normal(size=3)), bl + rng.uniform(-eps, eps)))
+            elif kind == 2:
+                rows.append((-bx + eps * _unit(rng.normal(size=3)), -bl + rng.uniform(-eps, eps)))
+            elif kind == 3:
+                rows.append((bx * [-1.0, 1.0, 1.0], bl))
+            elif kind == 4:
+                step = 0.6 * tol * _unit(rng.normal(size=3))
+                rows += [(bx + k * step, bl + 0.6 * tol * k) for k in range(3)]
+            elif kind == 5:
+                rows.append((bx, np.nan))
+            elif kind == 6:
+                rows.append((_unit(rng.normal(size=3)), rng.uniform(-tol, tol)))
+            else:
+                rows.append((_unit(rng.normal(size=3)), rng.normal()))
+        for i in rng.permutation(len(rows)):
+            cells.append(c)
+            xs.append(rows[i][0])
+            lams.append(rows[i][1])
+    return np.array(cells), np.array(xs), np.array(lams), rng.integers(1, 4, size=len(cells))
+
+
+def test_dedupe_rows_matches_the_padded_all_pairs_reference():
+    rng = np.random.default_rng(14)
+    merged = untouched = 0
+    for _ in range(1500):
+        tol = rng.choice([1e-8, 1e-6])
+        cell, x, lam, mult = random_dedupe_block(rng, tol)
+        keep, got = dedupe_rows(cell, x, lam, mult, tol)
+        want_keep, want = padded_dedupe_reference(cell, x, lam, mult, tol)
+        assert np.array_equal(keep, want_keep) and np.array_equal(got, want)
+        merged += not keep.all()
+        untouched += keep.all()
+    assert merged > 500 and untouched > 100
+    one = dedupe_rows(np.zeros(1, dtype=int), np.eye(3)[:1], np.array([0.5]), np.array([3]))
+    assert one[0].tolist() == [True] and one[1].tolist() == [3]
+    empty = dedupe_rows(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros(0),
+                        np.zeros(0, dtype=int))
+    assert empty[0].shape == (0,) and empty[1].shape == (0,)
+
+
+def first_block_dedupe_peak(monkeypatch, chi):
+    """tracemalloc peak of the first `dedupe_rows` call that `solve_block` makes on the first
+    BLOCK_CELLS cells of the 40x40 midpoint grid at chi (rho in (0, 2), K in (0, 2))."""
+    mids = (np.arange(40) + 0.5) * 2.0 / 40
+    params = [OrientedParams(float(r), chi, float(k)) for r in mids for k in mids]
+    calls = []
+    real = _optim.dedupe_rows
+
+    def capture(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_optim, "dedupe_rows", capture)
+        eigen.solve_block(params[:eigen.BLOCK_CELLS])
+    tracemalloc.start()
+    try:
+        real(*calls[0])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_dedupe_working_set(monkeypatch):
+    # an all-pairs comparison over whole padded cells needs about 600 kB on both slices; on the
+    # chi = -pi/6 plane every cell has mirror pairs of equal lam, so each cell has a run to compare
+    peak = first_block_dedupe_peak(monkeypatch, -1.0)
+    assert peak <= 64e3, f"{peak / 1e3:.0f} kB"
+    peak = first_block_dedupe_peak(monkeypatch, -PI / 6)
+    assert peak <= 256e3, f"{peak / 1e3:.0f} kB"

@@ -106,6 +106,14 @@ class TestParametrization:
         with pytest.raises(ValueError):
             OrientedParams(-0.1, -PI / 2, 0.0)
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf, np.float64(np.nan)):
+            for args in ((bad, -1.0, 0.5), (1.0, bad, 0.5), (1.0, -1.0, bad)):
+                with pytest.raises(ValueError, match="parameters must be finite"):
+                    OrientedParams(*args)
+        p = OrientedParams(np.float64(1.0), np.array(-1.0), 2)
+        assert p.as_tuple() == (1.0, -1.0, 2)
+
     def test_inverse_map(self):
         p = random_sector_params()
         q = params_from_tensor(from_rho_chi_K(p))
