@@ -55,13 +55,27 @@ def _coefficients(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 10 independent components of a symmetric tensor as matrices b (3, 6), c (6, 3).
 
     With q = x[_J] * x[_K], A x x = b @ q and the six entries of the matrix A x are c @ x.
+    One tensor per row, a of shape (n, 3, 3, 3), gives b (3, 6, n) and c (6, 3, n).
     """
-    c = np.asarray(a, dtype=float)[_J, _K]
-    return c.T * np.where(_J == _K, 1.0, 2.0), c
+    c = np.asarray(a, dtype=float)[..., _J, _K, :]
+    w = np.where(_J == _K, 1.0, 2.0)
+    if c.ndim == 3:                         # component-major, so the rows slice by [..., rows]
+        c, w = c.transpose(1, 2, 0), w[:, None]
+    return np.swapaxes(c, 0, 1) * w, c
+
+
+def _ax(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return c @ x if c.ndim == 2 else np.einsum("pin,in->pn", c, x)
 
 
 def _axx(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return b @ (x[_J] * x[_K])
+    q = x[_J] * x[_K]
+    return b @ q if b.ndim == 2 else np.einsum("ipn,pn->in", b, q)
+
+
+def _rows(coef: np.ndarray, idx) -> np.ndarray:
+    """The coefficients of the rows idx: all of them when one tensor serves every row."""
+    return coef if coef.ndim == 2 else coef[..., idx]
 
 
 def surface_gradient(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -85,7 +99,7 @@ def _bordered_step(c: np.ndarray, x: np.ndarray, lam: np.ndarray, f: np.ndarray)
     singular 2x2 gets 1e-13 added to its diagonal.
     """
     frame = np.concatenate((x, *tangent_basis(x))).reshape(3, 3, -1)
-    h = np.einsum("aim,bim->abm", frame, np.einsum("ijm,ajm->aim", (c @ x)[_JK], frame))
+    h = np.einsum("aim,bim->abm", frame, np.einsum("ijm,ajm->aim", _ax(c, x)[_JK], frame))
     h *= 6.0
     h[[0, 1, 2], [0, 1, 2]] -= 3.0 * lam             # H in the frame
     fq = np.einsum("aim,im->am", frame, f[:3])
@@ -110,11 +124,15 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     to 8 times, whenever it increases the residual norm; a row whose step
     is still rejected then keeps its point and stops.  Returns the rows
     (n, 3) and lam = A x^3.
+
+    ``a`` is one tensor (3, 3, 3) for all rows or one per row (n, 3, 3, 3);
+    rows never interact, so the rows of many tensors can share one call.
     """
     b, c = _coefficients(a)
     x = np.asarray(x, dtype=float).T.copy()
     xa, la = x.copy(), np.array(lam, dtype=float)
     active = np.arange(la.size)
+    ba, ca = b, c
     ga, gna = _bordered(b, xa, la)
     stuck = active[:0]
     for _ in range(iters):
@@ -124,11 +142,12 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
             x[:, active[done]] = xa[:, done]
             keep = ~done
             active, xa, la, ga, gna = active[keep], xa[:, keep], la[keep], ga[:, keep], gna[keep]
+            ba, ca = _rows(ba, keep), _rows(ca, keep)
         if active.size == 0:
             break
-        dx, dl = _bordered_step(c, xa, la, ga)
+        dx, dl = _bordered_step(ca, xa, la, ga)
         xt, lt = xa + dx, la + dl
-        worse = np.flatnonzero(_bordered(b, xt, lt)[1] > gna)
+        worse = np.flatnonzero(_bordered(ba, xt, lt)[1] > gna)
         scale = 1.0
         for _half in range(8):
             if worse.size == 0:
@@ -136,7 +155,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
             scale *= 0.5
             xs = xa[:, worse] + scale * dx[:, worse]
             ls = la[worse] + scale * dl[worse]
-            better = _bordered(b, xs, ls)[1] <= gna[worse]
+            better = _bordered(_rows(ba, worse), xs, ls)[1] <= gna[worse]
             idx = worse[better]
             xt[:, idx] = xs[:, better]
             lt[idx] = ls[better]
@@ -147,7 +166,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
         xa, la = xt, lt
         nrm = np.sqrt((xa * xa).sum(0))
         xa /= np.where(nrm == 0.0, 1.0, nrm)
-        ga, gna = _bordered(b, xa, la)
+        ga, gna = _bordered(ba, xa, la)
     x[:, active] = xa
     return x.T, (x * _axx(b, x)).sum(0)
 

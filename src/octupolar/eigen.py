@@ -51,8 +51,9 @@ _TOL_SNAP = 1e-12        # relative snap of near-zero discriminants
 _POLISH_TOL = 1e-11      # residual above which a solution gets Newton-polished
 _RESIDUAL_TOL = 1e-9
 
-#: cells per vectorized pass; bounds the padded (cells, P, P) dedupe arrays
-BLOCK_CELLS = 128
+#: cells per vectorized pass: the per-block fixed cost is paid once per this many cells, and
+#: the (rows, 3, 3, 3) gathers of each row's tensor grow with it (about 0.7 MB at 512)
+BLOCK_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -648,11 +649,11 @@ def solve_block(params) -> SolvedBlock:
     cell, x, lam, mult, branch = cell[keep], x[keep], lam[keep], mult[keep], branch[keep]
 
     res = _optim.residual_batch(arrays[cell], x, lam)
-    rough = res > _POLISH_TOL
-    for i in np.unique(cell[rough]):
-        rows = np.flatnonzero(rough & (cell == i))
-        x[rows], lam[rows] = _optim.newton_refine(arrays[i], x[rows], lam[rows], iters=30)
-        res[rows] = _optim.residual_batch(arrays[cell[rows]], x[rows], lam[rows])
+    rough = np.flatnonzero(res > _POLISH_TOL)
+    if rough.size:
+        a = arrays[cell[rough]]
+        x[rough], lam[rough] = _optim.newton_refine(a, x[rough], lam[rough], iters=30)
+        res[rough] = _optim.residual_batch(a, x[rough], lam[rough])
     errors = [None] * n
     for r in np.flatnonzero(res > _RESIDUAL_TOL)[::-1]:   # the first bad row of a cell wins
         i = cell[r]

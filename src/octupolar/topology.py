@@ -72,21 +72,29 @@ class TopologyReport:
 
 
 def _winding_index(a: np.ndarray, x: np.ndarray, radius: float = 1e-3,
-                   samples: int = 720) -> int:
-    """Winding number of the normalized surface gradient around x."""
-    u, v = (w[:, 0] for w in _optim.tangent_basis(x[:, None]))
+                   samples: int = 720) -> np.ndarray:
+    """Winding numbers of the normalized surface gradient around the rows of x.
+
+    One tensor per row, ``a`` of shape (n, 3, 3, 3), x of shape (n, 3).  In
+    each row's frame (x, u, v) the circle is the same curve
+    p = (cos r, sin r cos th, sin r sin th), so the frame components of the
+    gradient, A p p, are the row's tensor in its frame times one fixed
+    (9, samples) basis of the products of two components of p.
+    """
+    frame = np.stack((x, *(w.T for w in _optim.tangent_basis(x.T))), axis=1)    # (n, 3, 3)
+    m = np.einsum("rijk,rck->rijc", a, frame)
+    m = np.einsum("rijc,rbj->ribc", m, frame)
+    m = np.einsum("ribc,rai->rabc", m, frame)                  # each row's tensor in its frame
     th = 2.0 * np.pi * np.arange(samples) / samples
-    pts = (np.cos(radius) * x[None, :]
-           + np.sin(radius) * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    sgrad = _optim.surface_gradient(a, pts.T).T
-    gu = sgrad @ u
-    gv = sgrad @ v
-    ang = np.unwrap(np.arctan2(gv, gu))
-    closing = np.arctan2(gv[0], gu[0]) - ang[-1]
+    p = np.stack((np.full(samples, np.cos(radius)), np.sin(radius) * np.cos(th),
+                  np.sin(radius) * np.sin(th)))
+    grad = m.reshape(-1, 3, 9) @ (p[:, None] * p).reshape(9, samples)    # (n, 3, samples)
+    radial = np.einsum("ram,am->rm", grad, p)
+    gu, gv = grad[:, 1] - radial * p[1], grad[:, 2] - radial * p[2]
+    ang = np.unwrap(np.arctan2(gv, gu), axis=1)
+    closing = np.arctan2(gv[:, 0], gu[:, 0]) - ang[:, -1]
     closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    total = (ang[-1] - ang[0]) + closing
-    return int(np.rint(total / (2.0 * np.pi)))
+    return np.rint((ang[:, -1] - ang[:, 0] + closing) / (2.0 * np.pi)).astype(int)
 
 
 def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
@@ -96,12 +104,14 @@ def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     tangential Hessian P (6 A x - 3 lam I) P decide the kind; rows where
     either is negligible get their index from the winding number.  Returns
     (kinds, indices, eigenvalues (n, 2) ascending).
+
+    The rows must be critical points, and callers own that check: `classify`
+    makes it on its outside input, while `solve_block` has already dropped
+    every row above its 1e-9 residual tolerance and the oracle keeps only
+    rows within 1e-9 on its tensor scaled to max |a| in [1/2, 1), both well
+    inside the 1e-6 * max(1, max |a|) that `classify` allows.
     """
     scale = np.maximum(np.max(np.abs(a), axis=(1, 2, 3)), 1e-300)
-    res = _optim.residual_batch(a, x, lam)
-    bad = np.flatnonzero(res > 1e-6 * np.maximum(1.0, scale))
-    if bad.size:
-        raise ValueError(f"point is not critical (residual {res[bad[0]]:.2e})")
     basis = np.stack([w.T for w in _optim.tangent_basis(x.T)], axis=1)   # (n, 2, 3)
     h = 6.0 * np.einsum("rijk,rk->rij", a, x) - 3.0 * lam[:, None, None] * np.eye(3)
     eigs = np.linalg.eigvalsh(basis @ h @ basis.transpose(0, 2, 1))
@@ -109,21 +119,14 @@ def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     big = np.maximum(np.abs(h1), np.abs(h2))
     both_degenerate = big <= _DEGEN_REL * 6.0 * scale
     one_degenerate = (np.minimum(np.abs(h1), np.abs(h2)) <= _DEGEN_REL * big) | (big <= 0.0)
-    definite = np.where(h2 < 0, 0, np.where(h1 > 0, 1, 2))    # KINDS position
-    kinds = [KINDS[d] for d in definite.tolist()]
-    index = np.where(definite < 2, 1, -1)
-    for r in np.flatnonzero(both_degenerate | one_degenerate):
-        idx = _winding_index(a[r], x[r])
-        if idx == 1:
-            kinds[r] = "maximum" if (h1[r] + h2[r]) < 0 else "minimum"
-        elif idx == -1:
-            kinds[r] = "saddle"
-        elif idx == -2 and both_degenerate[r]:
-            kinds[r] = "monkey_saddle"
-        else:
-            kinds[r] = "degenerate_saddle"
-        index[r] = idx
-    return kinds, index, eigs
+    kind = np.where(h2 < 0, 0, np.where(h1 > 0, 1, 2))    # KINDS position
+    index = np.where(kind < 2, 1, -1)
+    rows = np.flatnonzero(both_degenerate | one_degenerate)
+    if rows.size:
+        idx = index[rows] = _winding_index(a[rows], x[rows])
+        kind[rows] = np.select([idx == 1, idx == -1, (idx == -2) & both_degenerate[rows]],
+                               [np.where(h1[rows] + h2[rows] < 0, 0, 1), 2, 4], 3)
+    return [KINDS[k] for k in kind.tolist()], index, eigs
 
 
 def _points(x, lam, kinds, index, eigs, branch=None, mult=None) -> list:
@@ -147,6 +150,9 @@ def classify(t, pair: Eigenpair | tuple) -> CriticalPoint:
     else:
         x, lam = np.asarray(pair[0], dtype=float), float(pair[1])
         branch, mult = None, 1
+    res = _optim.residual_batch(a[None], x[None], np.array([lam]))[0]
+    if res > 1e-6 * max(1.0, np.max(np.abs(a))):
+        raise ValueError(f"point is not critical (residual {res:.2e})")
     kinds, index, eigs = _classify_rows(a[None], x[None], np.array([lam]))
     h1, h2 = eigs[0].tolist()
     return CriticalPoint(x=x, lam=lam, kind=kinds[0], index=int(index[0]), hessian_eigs=(h1, h2),

@@ -9,10 +9,10 @@ import pytest
 
 from batch_cells import cells, summary
 from octupolar import OrientedParams, classify, from_rho_chi_K, full_topology, solve_oriented
-from octupolar import _optim
+from octupolar import _optim, eigen
 from octupolar.cli import main
 from octupolar.eigen import BLOCK_CELLS, solve_oriented_batch
-from octupolar.topology import full_topology_batch
+from octupolar.topology import critical_point_totals, full_topology_batch
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PI = np.pi
@@ -64,7 +64,6 @@ def test_separatrix_failure_names_the_first_failing_rho(capsys):
 def test_cells_cover_every_branch_family():
     families = {q.branch.split("-")[0] for p in CELLS for q in solve_oriented(p).pairs}
     assert families == {"pole", "walcher", "background", "axis", "disk", "pi2", "pi6"}
-    assert len(CELLS) > BLOCK_CELLS      # the batch spans more than one block
 
 
 def test_batch_matches_one_point_path(batch_reports):
@@ -137,3 +136,33 @@ def test_scan_failure_names_the_cell(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "numerical failure" in err and "(rho, chi, K) = (0.25, -1.5707863" in err
+
+
+def _solved_rows(params):
+    """Every row and cell field of `solved_blocks`, cells numbered across blocks."""
+    cols, errors, start = [], [], 0
+    for block in eigen.solved_blocks(params):
+        cols.append((start + block.cell, block.x, block.lam, block.mult, block.branch,
+                     block.continuum))
+        errors += block.errors
+        start += len(block.params)
+    return [np.concatenate(c) for c in zip(*cols)], errors
+
+
+def test_rows_do_not_depend_on_the_block_size(monkeypatch):
+    mids = (np.arange(40) + 0.5) * 2.0 / 40
+    params = CELLS + [OrientedParams(float(r), chi, float(k))
+                      for chi in (-0.5565, -1.0, -PI / 6) for r in mids for k in mids]
+    assert len(params) > 4 * BLOCK_CELLS     # several blocks at either size
+    rows, errors = _solved_rows(params)
+    totals = critical_point_totals(params)
+    monkeypatch.setattr(eigen, "BLOCK_CELLS", 64)
+    small_rows, small_errors = _solved_rows(params)
+    assert small_errors == errors
+    for got, want in zip(small_rows, rows, strict=True):      # bit for bit
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if got.dtype == object:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert critical_point_totals(params) == totals

@@ -1,5 +1,6 @@
 """The batched bordered Newton refinement and the class dedupe in `_optim`."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -199,7 +200,7 @@ def test_dedupe_rows_matches_the_padded_all_pairs_reference():
 
 def first_block_dedupe_peak(monkeypatch, chi):
     """tracemalloc peak of the first `dedupe_rows` call that `solve_block` makes on the first
-    BLOCK_CELLS cells of the 40x40 midpoint grid at chi (rho in (0, 2), K in (0, 2))."""
+    128 cells of the 40x40 midpoint grid at chi (rho in (0, 2), K in (0, 2))."""
     mids = (np.arange(40) + 0.5) * 2.0 / 40
     params = [OrientedParams(float(r), chi, float(k)) for r in mids for k in mids]
     calls = []
@@ -211,7 +212,7 @@ def first_block_dedupe_peak(monkeypatch, chi):
 
     with monkeypatch.context() as m:
         m.setattr(_optim, "dedupe_rows", capture)
-        eigen.solve_block(params[:eigen.BLOCK_CELLS])
+        eigen.solve_block(params[:128])
     tracemalloc.start()
     try:
         real(*calls[0])
@@ -227,3 +228,54 @@ def test_block_dedupe_working_set(monkeypatch):
     assert peak <= 64e3, f"{peak / 1e3:.0f} kB"
     peak = first_block_dedupe_peak(monkeypatch, -PI / 6)
     assert peak <= 256e3, f"{peak / 1e3:.0f} kB"
+
+
+def points_probe_params() -> list:
+    """The 400 edge-band probe draws of the benchmark's `points` workload.
+
+    Per stratum j of 100, one draw each next to the chi = -pi/2 and -pi/6 planes, the axis and
+    the rim, log-uniform in distance from 1e-7, 1e-7, 1e-8, 1e-9 up to 0.02, each written as a
+    random symmetry image of its canonical point.
+    """
+    rng = np.random.default_rng(2**32 - 1)
+    out = []
+    for j in range(100):
+        for band, lo in (("pi2", 1e-7), ("pi6", 1e-7), ("axis", 1e-8), ("rim", 1e-9)):
+            u = (j + float(rng.uniform())) / 100
+            rho = float(rng.uniform(0.02, 1.98))
+            chi = float(rng.uniform(-PI / 2 + 0.02, -PI / 6 - 0.02))
+            k = float(rng.uniform(0.0, 3.0))
+            d = math.exp(math.log(lo) + u * (math.log(0.02) - math.log(lo)))
+            chi = {"pi2": -PI / 2 + d, "pi6": -PI / 6 - d}.get(band, chi)
+            rho = {"axis": d, "rim": 2.0 - d}.get(band, rho)
+            m = int(rng.integers(6))
+            chi = -chi - PI / 3 if rng.integers(2) else chi
+            chi = (chi + 2.0 * PI * m / 3.0 + PI) % (2.0 * PI) - PI
+            out.append(OrientedParams(rho, chi, k if m % 2 == 0 else -k))
+    return out
+
+
+def test_per_row_polish_matches_single_tensor_calls(monkeypatch):
+    # the rough rows that solve_block polishes in one call, one tensor per row: slices next to
+    # chi = -0.55 have many, and so do the edge bands
+    mids = (np.arange(40) + 0.5) * 2.0 / 40
+    calls = []
+    real = _optim.newton_refine
+
+    def capture(a, x, lam, **kw):
+        calls.append((a, x.copy(), lam.copy(), kw))
+        return real(a, x, lam, **kw)
+
+    monkeypatch.setattr(_optim, "newton_refine", capture)
+    for chi in (-0.5565, -0.5522):
+        list(eigen.solved_blocks([OrientedParams(float(r), chi, float(k))
+                                  for r in mids for k in mids]))
+    eigen.solve_block(points_probe_params())
+    assert sum(len(c[1]) for c in calls) > 1000 and all(c[0].ndim == 4 for c in calls)
+    for a, x, lam, kw in calls:
+        xb, lb = real(a, x, lam, **kw)
+        one = [real(a[r], x[r:r + 1], lam[r:r + 1], **kw) for r in range(len(x))]
+        xs, ls = np.concatenate([o[0] for o in one]), np.concatenate([o[1] for o in one])
+        assert np.max(np.abs(xb - xs)) <= 2e-15 and np.max(np.abs(lb - ls)) <= 2e-15
+        gate = lambda xr, lr: residual_batch(a, xr, lr) > eigen._RESIDUAL_TOL
+        assert np.array_equal(gate(xb, lb), gate(xs, ls))

@@ -5,7 +5,9 @@ from octupolar import (
     OrientedParams, classify, from_rho_chi_K, full_topology,
     oracle_critical_points, solve_oriented, tetrahedral_tensor,
 )
-from octupolar.separatrix import g_function
+from octupolar import _optim, eigen
+from octupolar.separatrix import _k_star_rows, _kstar_or_raise, f_function, g_function
+from octupolar.topology import _winding_index
 
 rng = np.random.default_rng(5)
 PI = np.pi
@@ -50,7 +52,6 @@ class TestClassify:
             classify(t, (np.array([1.0, 0.0, 0.0]) / 1.0, 0.5))
 
     def test_winding_matches_hessian_sign(self):
-        from octupolar.topology import _winding_index
         for _ in range(8):
             p = OrientedParams(rng.uniform(0.1, 1.9),
                                rng.uniform(-PI / 2 + 0.05, -PI / 6 - 0.05),
@@ -61,7 +62,41 @@ class TestClassify:
                 h1, h2 = cp.hessian_eigs
                 if min(abs(h1), abs(h2)) > 1e-6 * max(abs(h1), abs(h2), 1.0):
                     expected = 1 if h1 * h2 > 0 else -1
-                    assert _winding_index(t.array, q.x) == expected == cp.index
+                    assert _winding_index(t.array[None], q.x[None])[0] == expected == cp.index
+
+
+def winding_reference(a, x, radius=1e-3, samples=720) -> int:
+    """The winding number around one point x, sampled on the sphere in world coordinates."""
+    u, v = (w[:, 0] for w in _optim.tangent_basis(x[:, None]))
+    th = 2.0 * np.pi * np.arange(samples) / samples
+    pts = (np.cos(radius) * x[None, :]
+           + np.sin(radius) * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    sgrad = _optim.surface_gradient(a, pts.T).T
+    gu = sgrad @ u
+    gv = sgrad @ v
+    ang = np.unwrap(np.arctan2(gv, gu))
+    closing = np.arctan2(gv[0], gu[0]) - ang[-1]
+    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
+    total = (ang[-1] - ang[0]) + closing
+    return int(np.rint(total / (2.0 * np.pi)))
+
+
+def test_batched_winding_matches_the_per_point_reference():
+    # every class of the on-separatrix cells, where degenerate points sit: 20 interior slices, the
+    # g and f curves on the two planes, monkey saddles, and the tetrahedral point
+    rhos = [float(r) for r in (np.arange(40) + 0.5) * 2.0 / 40]
+    cells = [(r, -PI / 2, g_function(r)) for r in rhos] + [(r, -PI / 6, f_function(r)) for r in rhos]
+    for chi in np.linspace(-PI / 2 + 0.02, -PI / 6 - 0.02, 20):
+        cells += [(r, chi, _kstar_or_raise(ks).k) for r, ks in zip(rhos, _k_star_rows(rhos, chi))]
+    cells += [(1.0, -1.0, 0.0), (1.0, -PI / 2, 0.0), (0.0, -PI / 2, 1.0 / np.sqrt(2.0))]
+    block = eigen.solve_block([OrientedParams(*c) for c in cells])
+    block.raise_first_error()
+    a = block.arrays[block.cell]
+    got = _winding_index(a, block.x)
+    want = [winding_reference(a[r], block.x[r]) for r in range(len(got))]
+    assert got.tolist() == want
+    assert len(want) > 5000 and {-2, 0, 1, -1} <= set(want)
 
 
 class TestFullTopology:
