@@ -9,7 +9,9 @@ linear in t).  The symmetry planes of the reduced parameter space need
 their own lower-degree branches; every branch below was checked against a
 dense numerical search.  The chi = -pi/6 plane is the chi = -pi/2 plane
 read in the frame rotated by 2 pi/3, at -rho, so one plane solver serves
-both.  Every branch solver works on all of its cells at once.
+both; every point of the disk K = 0 is canonicalized to chi = -pi/2, so one
+disk solver serves it.  Every branch solver works on all of its cells at
+once.
 
 For a tensor that is only symmetric in its last two indices the analogous
 objects are the stationary pairs of the bilinear form x . A[y (x) y]; these
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
-from .potential import OrientedParams, canonicalize_arrays, oriented_arrays, rotation_z
+from .potential import _TOL_DISK, OrientedParams, canonicalize_arrays, oriented_arrays, rotation_z
 from .tensors import as_array
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
     "incremental_rank_one",
 ]
 
-_TOL_PLANE = 1e-11       # membership thresholds for K = 0
+_TOL_PLANE = 1e-11       # membership thresholds of the rim rho = 2 and of K = 1 on it
 _TOL_CHI = 1e-7          # membership of the chi symmetry planes and the axis;
                          # closer than this the generic quotient loses all
                          # precision, while the plane solver plus one Newton
@@ -336,31 +338,13 @@ def _solve_axis(rho, chi, k):
     """rho = 0: three-fold symmetric family about the polar axis; a continuum at K = 0."""
     (t0, t1), (m0, m1) = _quad_rows(2.0, -k, -0.5)
     (u0, u1), (n0, n1) = _quad_rows(1.0, k, -1.0)
-    live = k > _TOL_PLANE
+    live = k > _TOL_DISK
     return _st_slots([0.0, 0.0, _SQRT3, -_SQRT3, _SQRT3, -_SQRT3], [t0, t1, u0, u0, u1, u1],
                      [m * live for m in (m0, m1, n0, n0, n1, n1)])
 
 
 def _solve_disk(rho, chi, k):
-    """K = 0, chi away from -pi/2: equatorial roots plus two vertical lines."""
-    co, si = np.cos(chi), np.sin(chi)
-    # t = 0 branch: quadratic in s with discriminant rho^2 - 1
-    (e0, e1), (me0, me1) = _quad_rows(0.5 * (rho * si - 1.0), rho * co, -0.5 * (rho * si + 1.0))
-    # vertical lines where the t-linear factor vanishes: s = tan chi +/- sec chi
-    s = np.array([np.tan(chi) + 1.0 / co, np.tan(chi) - 1.0 / co])
-    c2, c0 = _disk_coeffs(rho, co, si, s)
-    t2, scale = -c0 / c2, np.abs(c0 / c2) + 1.0
-    # where c2 vanishes (the rho = 2 line) the quadratic degenerates: no solutions
-    live = ~(np.abs(c2) <= 1e-12 * (np.abs(c0) + 1.0))
-    two = live & (t2 > _TOL_SNAP * scale)
-    mv = two + 2 * (live & ~two & (np.abs(t2) <= _TOL_SNAP * scale))
-    tq = np.sqrt(np.where(two, t2, 0.0))
-    return _st_slots([e0, e1, s[0], s[0], s[1], s[1]], [0.0, 0.0, tq[0], -tq[0], tq[1], -tq[1]],
-                     [me0, me1, mv[0], two[0], mv[1], two[1]])
-
-
-def _solve_disk_pi2(rho, chi, k):
-    """chi = -pi/2, K = 0: meridian and equator roots plus the background."""
+    """K = 0, canonical chi = -pi/2: meridian and equator roots plus the background."""
     (t0, t1), (m0, m1) = _quad_rows(2.0 - rho, 0.0, 0.5 * (rho - 1.0))
     s2 = (rho - 1.0) / (rho + 1.0)
     two = s2 > _TOL_SNAP
@@ -472,8 +456,7 @@ def _slot_tags(*groups):
 #: branch tag of each entry slot of each solver
 _GENERIC_SLOTS = _slot_tags(("walcher", 13), ("background", 1))
 _AXIS_SLOTS = _slot_tags(("axis-meridian", 2), ("axis-offset", 4))
-_DISK_SLOTS = _slot_tags(("disk-equator", 2), ("disk-vertical", 4))
-_DISK_PI2_SLOTS = _slot_tags(("disk-meridian", 2), ("disk-equator", 2), ("background", 2))
+_DISK_SLOTS = _slot_tags(("disk-meridian", 2), ("disk-equator", 2), ("background", 2))
 _PI2_SLOTS = _slot_tags(("pi2-meridian", 2), ("pi2-biquad", 4))
 _PI6_SLOTS = _slot_tags(("pi6-meridian", 2), ("pi6-biquad", 4))
 _OFF_DIAGONAL = ~np.eye(6, dtype=bool)
@@ -568,7 +551,7 @@ def _branch_rows(params):
     n = len(params)
     canon, ops, _mirrored = canonicalize_arrays(*np.reshape([p.as_tuple() for p in params], (n, 3)).T)
     rho, chi, k = canon
-    axis, flat = rho <= _TOL_CHI, k <= _TOL_PLANE
+    axis, flat = rho <= _TOL_CHI, k <= _TOL_DISK
     pi2, pi6 = np.abs(chi + np.pi / 2) <= _TOL_CHI, np.abs(chi + np.pi / 6) <= _TOL_CHI
     disk, plane = flat & ~axis, (pi2 | pi6) & ~(axis | flat)
     # the axisymmetric points: rho = K = 0, and rho = 2, K = 1 on chi = -pi/6
@@ -576,8 +559,7 @@ def _branch_rows(params):
                                  & (np.abs(k - 1.0) <= _TOL_PLANE))
     families = ((~(axis | flat | pi2 | pi6), _solve_generic, _GENERIC_SLOTS),
                 (axis, _solve_axis, _AXIS_SLOTS),
-                (disk & ~pi2, _solve_disk, _DISK_SLOTS),
-                (disk & pi2, _solve_disk_pi2, _DISK_PI2_SLOTS),
+                (disk, _solve_disk, _DISK_SLOTS),
                 (plane & pi2, _solve_plane, _PI2_SLOTS),
                 (plane & pi6, _solve_plane, _PI6_SLOTS))
     parts = []          # (cell, slot, x, branch, mult) of each solver family

@@ -49,6 +49,8 @@ __all__ = [
 
 _SECTOR_LO = -np.pi / 2
 _SECTOR_HI = -np.pi / 6
+#: canonical K at or below this is the disk K = 0
+_TOL_DISK = 1e-11
 
 #: Reflection across the plane x2 = -x1 tan(pi/6); maps the potential with
 #: angle chi onto the one with angle -chi - pi/3 at the same rho and K.
@@ -162,7 +164,8 @@ def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
     Returns ``(params, op, mirrored)``: the canonical (rho, chi, K) as a
     (3, n) array, the (n, 3, 3) maps and the (n,) mirror flags.  Of the six
     rotation classes of a point, the one with the smallest key
-    (round(chi, 12), round(K, 12), mirrored) wins, the lowest class on a tie.
+    (round(chi, 12), round(K, 12), mirrored) wins, the lowest class on a tie,
+    and a point of the disk K = 0 then moves to chi = -pi/2 with no mirror.
     """
     rho, chi, bigk = (np.asarray(v, dtype=float) for v in (rho, chi, bigk))
     chi_m = (chi[:, None] - _SHIFTS + np.pi) % (2.0 * np.pi) - np.pi
@@ -182,6 +185,17 @@ def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
     axis = rho < tol
     if not (admissible[pick] | axis).all():
         raise RuntimeError("sector reduction failed; parameters out of range")
+    disk = ~axis & (params[2] <= _TOL_DISK)
+    if disk.any():
+        # on K = 0 the rotation by psi about x3 takes chi to chi - 2 psi: the disk point is
+        # the one at chi = -pi/2, which x1 -> -x1 leaves fixed, so that folds away a mirror
+        psi = 0.5 * (params[1, disk] + np.pi / 2)
+        c, s, z = np.cos(psi), np.sin(psi), np.zeros_like(psi)
+        rz = np.moveaxis(np.array([[c, -s, z], [s, c, z], [z, z, z + 1.0]]), 2, 0)
+        rz[mirrored[disk], 0] *= -1.0
+        op[disk] = rz @ op[disk]
+        params[1, disk] = -np.pi / 2
+        mirrored &= ~disk
     if axis.any():
         kabs = np.where(bigk >= 0.0, bigk, -bigk)
         params[:, axis] = [np.zeros_like(rho[axis]), np.full_like(rho[axis], -np.pi / 2), kabs[axis]]
@@ -199,6 +213,12 @@ def canonicalize_params(rho: float, chi: float, bigk: float,
     transform as ``x_canonical = op @ x``.  ``op`` is a proper rotation when
     ``mirrored`` is False and includes the fixed mirror plane otherwise.
     This is `canonicalize_arrays` on one point.
+
+    On the disk K = 0 the zero at (1, 0, 0) fixes no frame: the rotation by
+    psi about x3 takes (rho, chi, 0) to (rho, chi - 2 psi, 0).  So off the
+    axis a canonical K of at most 1e-11 maps to chi = -pi/2, where the
+    tensor is even in x1 and ``mirrored`` is False.  For 0 < K <= 1e-11
+    ``op`` maps the tensor exactly only up to O(K).
     """
     params, op, mirrored = canonicalize_arrays([rho], [chi], [bigk], tol)
     return OrientedParams(*params[:, 0].tolist()), op[0], bool(mirrored[0])
@@ -281,8 +301,10 @@ def orient(t) -> Orientation:
     orienting there lets `solve_oriented` list every critical class exactly,
     and the classes at the largest value are oriented in turn.  When several
     global maxima tie, the candidate with lexicographically smallest
-    (rho, chi, K) wins.  The degenerate axisymmetric class (rho = K = 0
-    after reduction) is flagged, not rejected.
+    (rho, chi, K) wins.  A tensor on the disk K = 0 orients to chi = -pi/2
+    with no mirror, one result for all its rotations and mirror images.
+    The degenerate axisymmetric class (rho = K = 0 after reduction) is
+    flagged, not rejected.
     """
     from .eigen import solve_oriented   # eigen imports this module
     a = as_array(t)

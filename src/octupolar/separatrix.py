@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import (_companion_roots, _deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs,
-                    _real_root_rows, _scalar_pow, walcher_split)
+from .eigen import (_deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs, _real_root_rows,
+                    _scalar_pow, walcher_split)
 from .potential import OrientedParams
 # full_topology stays bound here: bench/tests checks that the tracer patches this binding
 from .topology import critical_point_totals, full_topology  # noqa: F401
@@ -159,12 +159,10 @@ def _bisect_transition(table: np.ndarray):
     k2 = _scalar_pow(lo, 2)
     coeffs = b * k2[:, None] + c
     # the roots in numpy.roots order: the companion roots, then the s = 0 ones
-    red = coeffs / np.abs(coeffs).max(axis=1, keepdims=True)
-    nonzero = red != 0.0
-    nz_lo, nz_hi = nonzero.argmax(axis=1), 7 - nonzero[:, ::-1].argmax(axis=1)
-    roots = _companion_roots(red, nz_lo, nz_hi)
+    zeros, roots, _ = _real_eigs(coeffs, 0.0, trim=0.0)
+    deg = (~np.isnan(roots)).sum(axis=1)
     slot = np.arange(6)
-    roots[(slot >= (nz_hi - nz_lo - 1)[:, None]) & (slot < (nz_hi - 1)[:, None])] = 0.0
+    roots[(slot >= deg[:, None]) & (slot < (deg + zeros)[:, None])] = 0.0
     i, j = np.triu_indices(6, 1)
     dist = np.abs(roots[:, i] - roots[:, j])
     dist[np.isnan(dist)] = np.inf

@@ -20,11 +20,13 @@ from .potential import OrientedParams, from_rho_chi_K
 from .tensors import as_array
 
 __all__ = ["CriticalPoint", "TopologyReport", "classify", "critical_point_totals",
-           "full_topology", "full_topology_batch", "iter_full_topology", "oracle_critical_points"]
+           "full_topology", "full_topology_batch", "oracle_critical_points"]
 
 KINDS = ("maximum", "minimum", "saddle", "degenerate_saddle", "monkey_saddle")
 
 _DEGEN_REL = 1e-7
+_WINDING_RADIUS = 1e-3      # angular radius of the winding circle
+_WINDING_SAMPLES = 720
 _SWAP = {"maximum": "minimum", "minimum": "maximum"}
 
 
@@ -71,8 +73,7 @@ class TopologyReport:
                    for k in ("saddle", "degenerate_saddle", "monkey_saddle"))
 
 
-def _winding_index(a: np.ndarray, x: np.ndarray, radius: float = 1e-3,
-                   samples: int = 720) -> np.ndarray:
+def _winding_index(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Winding numbers of the normalized surface gradient around the rows of x.
 
     One tensor per row, ``a`` of shape (n, 3, 3, 3), x of shape (n, 3).  In
@@ -85,10 +86,10 @@ def _winding_index(a: np.ndarray, x: np.ndarray, radius: float = 1e-3,
     m = np.einsum("rijk,rck->rijc", a, frame)
     m = np.einsum("rijc,rbj->ribc", m, frame)
     m = np.einsum("ribc,rai->rabc", m, frame)                  # each row's tensor in its frame
-    th = 2.0 * np.pi * np.arange(samples) / samples
-    p = np.stack((np.full(samples, np.cos(radius)), np.sin(radius) * np.cos(th),
-                  np.sin(radius) * np.sin(th)))
-    grad = m.reshape(-1, 3, 9) @ (p[:, None] * p).reshape(9, samples)    # (n, 3, samples)
+    th = 2.0 * np.pi * np.arange(_WINDING_SAMPLES) / _WINDING_SAMPLES
+    p = np.stack((np.full(_WINDING_SAMPLES, np.cos(_WINDING_RADIUS)),
+                  np.sin(_WINDING_RADIUS) * np.cos(th), np.sin(_WINDING_RADIUS) * np.sin(th)))
+    grad = m.reshape(-1, 3, 9) @ (p[:, None] * p).reshape(9, _WINDING_SAMPLES)  # (n, 3, samples)
     radial = np.einsum("ram,am->rm", grad, p)
     gu, gv = grad[:, 1] - radial * p[1], grad[:, 2] - radial * p[2]
     ang = np.unwrap(np.arctan2(gv, gu), axis=1)
@@ -185,15 +186,14 @@ def full_topology(p: OrientedParams) -> TopologyReport:
     return _report(points, p, sol.continuum)
 
 
-def iter_full_topology(params):
-    """`full_topology` for each of a sequence of parameter points, lazily.
+def full_topology_batch(params) -> list[TopologyReport]:
+    """`full_topology` for each of a sequence of parameter points.
 
     Each block of BLOCK_CELLS points is solved and classified in one
-    vectorized pass, and its reports are yielded before the next block
-    starts, so a caller that keeps only a summary holds one block at a time.
-    Raises the error of the first failing point, as a loop over
-    `full_topology` would.
+    vectorized pass.  Raises the error of the first failing point, as a
+    loop over `full_topology` would.
     """
+    out = []
     for block in solved_blocks(params):
         points = _points(block.x, block.lam, *_classify_rows(block.arrays[block.cell], block.x,
                                                              block.lam), block.branch, block.mult)
@@ -201,18 +201,14 @@ def iter_full_topology(params):
             if block.errors[i] is not None:
                 raise RuntimeError(block.errors[i])
             rows = block.rows(i)
-            yield _report(points[2 * rows.start:2 * rows.stop], p, bool(block.continuum[i]))
-
-
-def full_topology_batch(params) -> list[TopologyReport]:
-    """`full_topology` for each of a sequence of parameter points (see `iter_full_topology`)."""
-    return list(iter_full_topology(params))
+            out.append(_report(points[2 * rows.start:2 * rows.stop], p, bool(block.continuum[i])))
+    return out
 
 
 def critical_point_totals(params) -> list[int]:
     """`full_topology(p).total` for each of a sequence of parameter points, -1 at a continuum.
 
-    Classifies each block's rows as `iter_full_topology` does and counts
+    Classifies each block's rows as `full_topology_batch` does and counts
     them per cell, without building points or reports.  Raises the error of
     the first failing point, with the message `full_topology` gives there.
     """

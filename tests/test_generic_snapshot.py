@@ -136,7 +136,7 @@ def test_generic_entries_match_recorded_output():
         assert digest(got) == want, (p, got)
     assert _paths(params, entries) == {
         "pair", "s=0", "two-t split", "background", "rim deflation", "K=0 background",
-        "axis-meridian", "axis-offset", "disk-equator", "disk-vertical", "disk-meridian",
+        "axis-meridian", "axis-offset", "disk-equator", "disk-meridian",
         "pi2-meridian", "pi2-biquad", "pi6-meridian", "pi6-biquad"}
 
 

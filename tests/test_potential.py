@@ -161,21 +161,29 @@ class TestOrient:
         assert "np.float64" not in str(o.params)
 
     def test_idempotent(self):
-        p = OrientedParams(0.5, -PI / 3, 0.0)
-        o = orient(from_rho_chi_K(p))
-        assert abs(o.params.rho - 0.5) < 1e-9
-        assert abs(o.params.chi + PI / 3) < 1e-9
-        assert abs(o.params.bigk) < 1e-9
-        assert np.allclose(o.rotation @ o.rotation.T, np.eye(3), atol=1e-12)
-        assert abs(np.linalg.det(o.rotation) - 1.0) < 1e-12
+        """An oriented tensor orients to itself; on the disk K = 0, whose chi
+        a rotation about the pole moves, to its canonical chi = -pi/2."""
+        for bigk, chi in ((0.0, -PI / 2), (0.2, -PI / 3)):
+            t = from_rho_chi_K(OrientedParams(0.5, -PI / 3, bigk))
+            o = orient(t)
+            assert abs(o.params.rho - 0.5) < 1e-9
+            assert abs(o.params.chi - chi) < 1e-9
+            assert abs(o.params.bigk - bigk) < 1e-9
+            assert not o.mirrored
+            assert np.allclose(o.rotation @ o.rotation.T, np.eye(3), atol=1e-12)
+            assert abs(np.linalg.det(o.rotation) - 1.0) < 1e-12
+            assert np.max(np.abs(o.undo().array - t.array)) < 1e-9
 
     def test_sector_shift(self):
-        p = OrientedParams(0.5, -PI / 3 + 2 * PI / 3, 0.0)
-        t = from_rho_chi_K(p)
-        o = orient(t)
-        assert abs(o.params.rho - 0.5) < 1e-9
-        assert abs(o.params.chi + PI / 3) < 1e-9
-        assert np.max(np.abs(o.undo().array - t.array)) < 1e-9
+        for bigk, chi in ((0.0, -PI / 2), (0.2, -PI / 3)):
+            # a shift by 2 pi/3 is a rotation by pi/3 about x3, which also flips K
+            t = from_rho_chi_K(OrientedParams(0.5, -PI / 3 + 2 * PI / 3, -bigk))
+            o = orient(t)
+            assert abs(o.params.rho - 0.5) < 1e-9
+            assert abs(o.params.chi - chi) < 1e-9
+            assert abs(o.params.bigk - bigk) < 1e-9
+            assert abs(np.linalg.det(o.rotation) - 1.0) < 1e-12
+            assert np.max(np.abs(o.undo().array - t.array)) < 1e-9
 
     def test_random_rotations_recovered(self):
         for _ in range(6):
