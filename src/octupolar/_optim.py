@@ -1,4 +1,4 @@
-"""Shared numerical machinery: sphere seeding, Newton refinement, dedupe."""
+"""Shared numerical machinery: sphere seeding, Newton refinement, dedupe, the class bound."""
 
 from __future__ import annotations
 
@@ -171,11 +171,39 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     return x.T, (x * _axx(b, x)).sum(0)
 
 
+_DEGEN_REL = 1e-7        # relative size of a negligible tangent-Hessian eigenvalue
 _FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
 _MERGE_RADIUS = 2e-3     # merge_degenerate's cluster radius
 _CRITICAL_TOL = 1e-9     # residual of a critical point in the dense search
 _PRESTEPS = 3            # projected-gradient steps before the dense search's Newton
 _SLICE = 8192            # seeds per pass of the dense search; its Newton temporaries stay in cache
+
+
+def tangent_hessian(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+    """Tangent-Hessian eigenvalues at critical rows, and which of them are degenerate.
+
+    One tensor per row, ``a`` of shape (n, 3, 3, 3), x of shape (n, 3).
+    Returns the ascending eigenvalues (n, 2) of P (6 A x - 3 lam I) P, the
+    rows where both are negligible against 6 max |a|, and the rows where
+    either is: below _DEGEN_REL of the other, or both zero.
+    """
+    scale = np.maximum(np.max(np.abs(a), axis=(1, 2, 3)), 1e-300)
+    basis = np.stack([w.T for w in tangent_basis(x.T)], axis=1)   # (n, 2, 3)
+    h = 6.0 * np.einsum("rijk,rk->rij", a, x) - 3.0 * lam[:, None, None] * np.eye(3)
+    eigs = np.linalg.eigvalsh(basis @ h @ basis.transpose(0, 2, 1))
+    h1, h2 = np.abs(eigs).T
+    big = np.maximum(h1, h2)
+    flat = big <= _DEGEN_REL * 6.0 * scale
+    return eigs, flat, flat | (np.minimum(h1, h2) <= _DEGEN_REL * big) | (big <= 0.0)
+
+
+def count_bound(r: int, n: int) -> int:
+    """Upper bound ((r-1)^n - 1)/(r-2) on equivalence classes of eigenvalues."""
+    if r <= 2:
+        raise ValueError("rank r must exceed 2")
+    if n < 1:
+        raise ValueError("n must be positive")
+    return ((r - 1) ** n - 1) // (r - 2)
 
 
 def canonical_flip(x: np.ndarray) -> np.ndarray:
@@ -301,6 +329,12 @@ def _first_of_each(keys: np.ndarray) -> np.ndarray:
     return order[new]
 
 
+def _first_rows(x: np.ndarray, lam: np.ndarray, cell: float = 2e-7):
+    """The lowest-index row (x, lam) of each key round(x / cell), in sorted key order."""
+    first = _first_of_each(np.round(x / cell).astype(np.int64))
+    return x[first], lam[first]
+
+
 def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, step: np.ndarray):
     """The dense search on one slice of seeds x (3, n): its critical rows, one per 2e-7 key.
 
@@ -316,8 +350,32 @@ def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, step: np.ndarr
     flip = canonical_flip(x)
     x[flip] *= -1.0
     lam[flip] *= -1.0
-    first = _first_of_each(np.round(x / 2e-7).astype(np.int64))
-    return x[first], lam[first]
+    return _first_rows(x, lam)
+
+
+def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+    """(points, continuum): the classes of survivors reduced to one row per 2e-7 key.
+
+    Far more keys than any isolated configuration allows mean a continuum,
+    thinned out to coarse representatives; otherwise the rows are deduped
+    and clusters around degenerate points merged.
+    """
+    continuum = x.shape[0] > 64
+    if continuum:
+        x, lam = _first_rows(x, lam, 1e-2)
+    points = dedupe_classes([(xi, li, (None, 1)) for xi, li in zip(x, lam)], tol=1e-6)
+    if not continuum:
+        points = merge_degenerate(a, points)
+    return points, continuum
+
+
+def _complete(a: np.ndarray, points) -> bool:
+    """Whether isolated classes use up the bound: count_bound(3, 3) of them, none degenerate."""
+    if len(points) != count_bound(3, 3):
+        return False
+    x = np.array([p[0] for p in points])
+    lam = np.array([p[1] for p in points])
+    return not tangent_hessian(np.broadcast_to(a, (len(x), 3, 3, 3)), x, lam)[2].any()
 
 
 def find_critical_classes(a: np.ndarray, samples: int):
@@ -326,14 +384,23 @@ def find_critical_classes(a: np.ndarray, samples: int):
     Seeds a Fibonacci grid (the first half ascends, the second descends),
     runs a few projected-gradient steps, then batched Newton, and keeps the
     points with residual at most _CRITICAL_TOL.  The seeds go through this
-    in slices of _SLICE rows, each reduced to one row per 2e-7 key before
-    the next; one pass over the survivors then picks the lowest-index row
-    of each key.  The search runs on the tensor scaled by a power of two to
-    max |a| in [1/2, 1), so its absolute tolerances are relative ones, and
-    lam is scaled back.  Returns (classes, continuum) where each class is
-    (x, lam) in canonical-representative form.  `continuum` is set when far
-    more clusters survive than any isolated configuration allows; the zero
+    in slices of _SLICE rows, each reduced to one row per 2e-7 key; the
+    survivors of all slices so far keep the lowest-index row of each key.
+    The search runs on the tensor scaled by a power of two to max |a| in
+    [1/2, 1), so its absolute tolerances are relative ones, and lam is
+    scaled back.  Returns (classes, continuum) where each class is (x, lam)
+    in canonical-representative form.  `continuum` is set when far more
+    clusters survive than any isolated configuration allows; the zero
     tensor, critical everywhere, is a continuum with no classes.
+
+    The search stops before the remaining slices once the classes are
+    complete: no continuum, count_bound(3, 3) = 7 classes, and every one
+    simple, with neither tangent-Hessian eigenvalue negligible.  The classes
+    are re-derived only after a slice that added a key.  This is sound: a
+    finite critical set has at most 7 classes, so once 7 distinct ones are
+    found the skipped seeds could only add duplicates or spurious classes.
+    A continuum that slips under the 64-key rule shows up as scattered
+    points of it, which are degenerate and never stop the search.
     """
     peak = np.max(np.abs(a))
     if peak == 0.0:
@@ -346,22 +413,23 @@ def find_critical_classes(a: np.ndarray, samples: int):
     # page-faults about 20x more per call
     seeds = fibonacci_sphere(samples).T.copy()
     step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
-    parts = [_slice_survivors(a, b, seeds[:, lo:lo + _SLICE], step[lo:lo + _SLICE])
-             for lo in range(0, samples, _SLICE)]
-    x, lam = (np.concatenate(c) for c in zip(*parts))
-    if x.shape[0] == 0:
-        return [], False
-    first = _first_of_each(np.round(x / 2e-7).astype(np.int64))
-    x, lam = x[first], lam[first]
-    continuum = x.shape[0] > 64
-    if continuum:
-        # a continuum of critical points; thin out to coarse representatives
-        first = _first_of_each(np.round(x / 1e-2).astype(np.int64))
-        x, lam = x[first], lam[first]
-    points = [(xi, li, (None, 1)) for xi, li in zip(x, lam)]
-    points = dedupe_classes(points, tol=1e-6)
-    if not continuum:
-        points = merge_degenerate(a, points)
+    x, lam = np.empty((0, 3)), np.empty(0)
+    points, continuum, keys = [], False, 0
+    for lo in range(0, samples, _SLICE):
+        xs, ls = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], step[lo:lo + _SLICE])
+        x, lam = np.concatenate((x, xs)), np.concatenate((lam, ls))
+        if keys > 64:
+            continue        # a continuum for good: its rows are reduced once, after the last slice
+        x, lam = _first_rows(x, lam)
+        grew, keys = x.shape[0] > keys, x.shape[0]
+        if grew and keys <= 64:     # below the continuum rule
+            points, continuum = _classes(a, x, lam)
+            if _complete(a, points):
+                break
+    if keys > 64:
+        points, continuum = _classes(a, *_first_rows(x, lam))
+    if not points:
+        return [], continuum
     xs = np.array([xi for xi, _, _ in points])
     sign = np.where(canonical_flip(xs), -1.0, 1.0)
     return [(s * xi, np.ldexp(s * li, e)) for s, (xi, li, _) in zip(sign, points)], continuum

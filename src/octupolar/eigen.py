@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optim
+from ._optim import count_bound
 from .potential import _TOL_DISK, OrientedParams, canonicalize_arrays, oriented_arrays, rotation_z
 from .tensors import as_array
 
@@ -223,15 +224,6 @@ def real_roots(coeffs, realness: float = 1e-8, cluster: float = 1e-6):
         raise ValueError("polynomial is identically zero")
     s, m = _real_root_rows(c[None], realness, cluster)
     return [(float(r), int(k)) for r, k in zip(s[0], m[0]) if k]
-
-
-def count_bound(r: int, n: int) -> int:
-    """Upper bound ((r-1)^n - 1)/(r-2) on equivalence classes of eigenvalues."""
-    if r <= 2:
-        raise ValueError("rank r must exceed 2")
-    if n < 1:
-        raise ValueError("n must be positive")
-    return ((r - 1) ** n - 1) // (r - 2)
 
 
 @dataclass(frozen=True)

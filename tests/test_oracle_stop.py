@@ -1,0 +1,147 @@
+"""The early stop of the dense search in `_optim.find_critical_classes`.
+
+The search skips its remaining seed slices once it holds count_bound(3, 3)
+= 7 classes, none of them degenerate.  These tests hold it to the full sweep
+(the bound set out of reach), count the slices it runs, and check that
+degenerate classes and continua never stop it.
+"""
+
+import numpy as np
+import pytest
+
+from octupolar import OrientedParams, from_rho_chi_K, full_topology, oracle_critical_points
+from octupolar import _optim
+from octupolar._optim import _SLICE, _complete, find_critical_classes
+from test_oracle_snapshot import PANEL, panel_octupole
+
+PI = np.pi
+SAMPLES = 100_000
+SLICES = -(-SAMPLES // _SLICE)                     # 13
+FIVE_CLASS = (0, 14, 17, 18, 19, 22)               # panel tensors with 5 classes; the rest have 7
+
+
+def outcome(a, samples):
+    """The oracle's report on a, or the message of the error it raises."""
+    try:
+        return oracle_critical_points(a, samples=samples)
+    except RuntimeError as e:
+        return str(e)
+
+
+def assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.continuum == want.continuum
+    assert got.total == want.total
+    assert [q.kind for q in got.points] == [q.kind for q in want.points]
+    for g, w in zip(got.points, want.points):
+        np.testing.assert_allclose(g.x, w.x, rtol=0, atol=1e-12)
+        assert abs(g.lam - w.lam) <= 1e-12
+
+
+def count_slices(monkeypatch):
+    calls = []
+    survivors = _optim._slice_survivors
+
+    def counted(*args):
+        calls.append(1)
+        return survivors(*args)
+
+    monkeypatch.setattr(_optim, "_slice_survivors", counted)
+    return calls
+
+
+def full_sweep(monkeypatch):
+    monkeypatch.setattr(_optim, "count_bound", lambda r, n: 10 ** 6)
+
+
+def seeded_tensors():
+    """30 points of the sector: 10 interior, then 4 draws in each of 5 edge bands."""
+    rng = np.random.default_rng(18)
+    out = []
+    for i in range(30):
+        r, c = rng.uniform(0.01, 1.99), rng.uniform(-PI / 2 + 0.02, -PI / 6 - 0.02)
+        k = rng.uniform(0, 3)
+        d = 10.0 ** rng.uniform(-7, -3)
+        band = (i - 10) // 4 if i >= 10 else None
+        r, c, k = {None: (r, c, k), 0: (r, -PI / 2 + d, k), 1: (r, -PI / 6 - d, k),
+                   2: (d, c, k), 3: (2.0 - d, c, k), 4: (r, c, d)}[band]
+        out.append(from_rho_chi_K(OrientedParams(r, c, k)).array)
+    return out
+
+
+@pytest.fixture(scope="module")
+def panel_runs():
+    """The oracle's report on each panel tensor at 100k samples, and the slices it ran."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_slices(mp)
+        for i in range(PANEL):
+            calls.clear()
+            runs.append((oracle_critical_points(panel_octupole(i), samples=SAMPLES), len(calls)))
+    return runs
+
+
+def test_stop_fires_within_three_slices_on_seven_classes(panel_runs):
+    for i, (rep, slices) in enumerate(panel_runs):
+        if i in FIVE_CLASS:
+            assert (rep.total, slices) == (10, SLICES), i
+        else:
+            assert rep.total == 14 and slices <= 3, (i, slices)
+
+
+def test_panel_matches_the_full_sweep(panel_runs, monkeypatch):
+    full_sweep(monkeypatch)
+    calls = count_slices(monkeypatch)
+    for i, (rep, slices) in enumerate(panel_runs):
+        if slices == SLICES:
+            continue        # the stop never fired, so this run was the full sweep
+        calls.clear()
+        assert_same(rep, oracle_critical_points(panel_octupole(i), samples=SAMPLES))
+        assert len(calls) == SLICES
+
+
+def test_seeded_tensors_match_the_full_sweep(monkeypatch):
+    samples = 3 * _SLICE
+    tensors = seeded_tensors()
+    calls = count_slices(monkeypatch)
+    stopped, slices = [], []
+    for a in tensors:
+        calls.clear()
+        stopped.append(outcome(a, samples))
+        slices.append(len(calls))
+    assert sum(s < 3 for s in slices) >= 15         # the stop fired on at least half of them
+    full_sweep(monkeypatch)
+    for a, got, s in zip(tensors, stopped, slices):
+        if s < 3:
+            assert_same(got, outcome(a, samples))
+
+
+def test_degenerate_classes_never_stop_the_search(monkeypatch):
+    b = panel_octupole(3).array
+    seven = [(x, lam, None) for x, lam in find_critical_classes(b, SAMPLES)[0]]
+    assert _complete(b, seven) and not _complete(b, seven[:6])
+    # with the bound at the monkey saddle's 4 classes, only their degeneracy keeps the search going
+    monkeypatch.setattr(_optim, "count_bound", lambda r, n: 4)
+    calls = count_slices(monkeypatch)
+    a = from_rho_chi_K(OrientedParams(1.0, -PI / 2, 0.0)).array
+    rep = oracle_critical_points(a, samples=SAMPLES)
+    assert len(calls) == SLICES
+    assert rep.total == 8 and rep.counts["monkey_saddle"] == 2
+    assert not _complete(a, [(q.x, q.lam, None) for q in rep.points[::2]])
+
+
+@pytest.mark.parametrize("p", [(0.0, -PI / 2, 0.0), (2.0, -PI / 6, 1.0)])
+def test_continua_are_still_reported(p):
+    assert oracle_critical_points(from_rho_chi_K(OrientedParams(*p)), samples=SAMPLES).continuum
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="next to the rim merge_degenerate folds the saddle 1.1e-5 from the pole "
+                          "maximum into it, as their midpoint is critical to 1e-9; the index sum "
+                          "reads 4 (ROADMAP item 6, rim resolution)")
+def test_oracle_resolves_the_pair_next_to_the_rim():
+    p = OrientedParams(1.9999826473030649, -0.9917324771688271, 2.4438107997534178)
+    rep = oracle_critical_points(from_rho_chi_K(p), samples=SAMPLES)
+    assert rep.total == full_topology(p).total == 14
