@@ -369,13 +369,91 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     return points, continuum
 
 
-def _complete(a: np.ndarray, points) -> bool:
-    """Whether isolated classes use up the bound: count_bound(3, 3) of them, none degenerate."""
-    if len(points) != count_bound(3, 3):
+def _bordered_complex(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+    """Residual (A x^2 - lam x, (x^T x - 1)/2), shape (n, 4), and Jacobian (n, 4, 4) of complex rows."""
+    m = np.einsum("ijk,nk->nij", a, x)
+    f = np.concatenate((np.einsum("nij,nj->ni", m, x) - lam[:, None] * x,
+                        0.5 * ((x * x).sum(1, keepdims=True) - 1.0)), axis=1)
+    jac = np.zeros((len(x), 4, 4), dtype=complex)
+    jac[:, :3, :3] = 2.0 * m - lam[:, None, None] * np.eye(3)
+    jac[:, :3, 3], jac[:, 3, :3] = -x, x
+    return f, jac
+
+
+def _nonreal_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verified non-real eigenvector classes of a symmetric tensor, with their conjugates.
+
+    Newton on the bilinear system A x^2 = lam x, x^T x = 1 runs from 64
+    fixed complex seeds for at most 60 steps, on the tensor scaled by a power
+    of two to max |a| in [1/2, 1).  A root is accepted when its residual is
+    at most 1e-13, its Jacobian is well conditioned (sigma_min > 1e-8
+    sigma_max), and the imaginary part of x exceeds both 1e-6 and 1e3 times
+    the Newton error bound |F| / sigma_min: the exact root within that bound
+    is then not real, as a class with x^T x = 1 is real only if x is real up
+    to sign.  Each accepted root brings its conjugate (the tensor is real).
+    A root is kept unless an earlier kept one lies within 1e-6 plus 1e3 times
+    their error bounds up to x ~ -x, so the kept roots are distinct classes.
+    Returns (x (m, 3), lam (m,)), both complex, scaled back.
+    """
+    e = np.frexp(np.max(np.abs(a)))[1]
+    a = np.ldexp(a, -e)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+    x /= np.sqrt((x * x).sum(1))[:, None]
+    lam = np.einsum("ijk,ni,nj,nk->n", a, x, x, x)
+    live = np.arange(len(x))
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            f, jac = _bordered_complex(a, x[live], lam[live])
+            go = np.isfinite(jac).all(axis=(1, 2)) & (np.abs(f).max(1) > 1e-15)
+            live, f, jac = live[go], f[go], jac[go]
+            if live.size == 0:
+                break
+            try:
+                step = np.linalg.solve(jac, f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                break                       # an exactly singular Jacobian: stop where the seeds are
+            x[live] -= step[:, :3]
+            lam[live] -= step[:, 3]
+        f, jac = _bordered_complex(a, x, lam)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        x, lam, f, jac = x[ok], lam[ok], f[ok], jac[ok]
+        sv = np.linalg.svd(jac, compute_uv=False)
+        err = np.sqrt((np.abs(f) ** 2).sum(1)) / sv[:, -1]
+    imag = np.sqrt((x.imag ** 2).sum(1))
+    ok = (np.abs(f).max(1) <= 1e-13) & (sv[:, -1] > 1e-8 * sv[:, 0]) \
+        & (imag > 1e3 * err) & (imag > 1e-6)
+    x, lam, err = (np.concatenate((v[ok], np.conj(v[ok]))) for v in (x, lam, err))
+    dist = np.minimum(np.abs(x[:, None] - x[None]).max(2), np.abs(x[:, None] + x[None]).max(2))
+    close = dist <= 1e-6 + 1e3 * (err[:, None] + err[None])
+    keep = ~np.tril(close, -1).any(1)
+    return x[keep], np.ldexp(1.0, e) * lam[keep]
+
+
+def _complete(a: np.ndarray, points, nonreal=None) -> bool:
+    """Whether isolated classes use up the bound count_bound(3, 3) = 7.
+
+    They do when the real classes ``points`` are all simple, with neither
+    tangent-Hessian eigenvalue negligible, and with the verified non-real
+    classes of `_nonreal_classes` they number exactly 7.  Over C a symmetric
+    3x3x3 tensor with finitely many eigenvector classes has exactly 7,
+    counted with multiplicity (Cartwright and Sturmfels, The number of
+    eigenvalues of a tensor, Linear Algebra Appl. 438, 2013), so seven
+    distinct simple classes leave no other class, real or not.  The
+    non-real search runs only when the real classes are simple and fewer
+    than 7; ``nonreal``, a function of no arguments that returns their
+    number, lets a caller run it once for many calls on one tensor.
+    """
+    bound = count_bound(3, 3)
+    if not 0 < len(points) <= bound:
         return False
     x = np.array([p[0] for p in points])
     lam = np.array([p[1] for p in points])
-    return not tangent_hessian(np.broadcast_to(a, (len(x), 3, 3, 3)), x, lam)[2].any()
+    if tangent_hessian(np.broadcast_to(a, (len(x), 3, 3, 3)), x, lam)[2].any():
+        return False
+    if len(points) == bound:
+        return True
+    return len(points) + (nonreal or (lambda: len(_nonreal_classes(a)[0])))() == bound
 
 
 def find_critical_classes(a: np.ndarray, samples: int):
@@ -394,13 +472,19 @@ def find_critical_classes(a: np.ndarray, samples: int):
     tensor, critical everywhere, is a continuum with no classes.
 
     The search stops before the remaining slices once the classes are
-    complete: no continuum, count_bound(3, 3) = 7 classes, and every one
-    simple, with neither tangent-Hessian eigenvalue negligible.  The classes
-    are re-derived only after a slice that added a key.  This is sound: a
-    finite critical set has at most 7 classes, so once 7 distinct ones are
-    found the skipped seeds could only add duplicates or spurious classes.
-    A continuum that slips under the 64-key rule shows up as scattered
-    points of it, which are degenerate and never stop the search.
+    complete (`_complete`): no continuum, every real class simple, with
+    neither tangent-Hessian eigenvalue negligible, and the real classes plus
+    the verified non-real eigenvector classes of `_nonreal_classes` number
+    count_bound(3, 3) = 7.  The classes are re-derived only after a slice
+    that added a key, and the non-real search runs at most once per call,
+    only when the real classes are simple and fewer than 7 and a slice
+    remains to be skipped.  This is sound: over C a symmetric tensor with
+    finitely many eigenvector classes has exactly 7 of them counted with
+    multiplicity (Cartwright and Sturmfels, Linear Algebra Appl. 438, 2013),
+    so once 7 distinct simple ones are found the skipped seeds could only
+    add duplicates or spurious classes.  A continuum that slips under the
+    64-key rule shows up as scattered points of it, which are degenerate
+    and never stop the search.
     """
     peak = np.max(np.abs(a))
     if peak == 0.0:
@@ -415,6 +499,7 @@ def find_critical_classes(a: np.ndarray, samples: int):
     step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
     x, lam = np.empty((0, 3)), np.empty(0)
     points, continuum, keys = [], False, 0
+    nonreal = cache(lambda: len(_nonreal_classes(a)[0]))
     for lo in range(0, samples, _SLICE):
         xs, ls = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], step[lo:lo + _SLICE])
         x, lam = np.concatenate((x, xs)), np.concatenate((lam, ls))
@@ -424,7 +509,7 @@ def find_critical_classes(a: np.ndarray, samples: int):
         grew, keys = x.shape[0] > keys, x.shape[0]
         if grew and keys <= 64:     # below the continuum rule
             points, continuum = _classes(a, x, lam)
-            if _complete(a, points):
+            if lo + _SLICE < samples and _complete(a, points, nonreal):
                 break
     if keys > 64:
         points, continuum = _classes(a, *_first_rows(x, lam))

@@ -17,7 +17,7 @@ import numpy as np
 from . import _optim
 from .eigen import Eigenpair, solve_oriented, solved_blocks
 from .potential import OrientedParams, from_rho_chi_K
-from .tensors import as_array
+from .tensors import as_array, symmetrize
 
 __all__ = ["CriticalPoint", "TopologyReport", "classify", "critical_point_totals",
            "full_topology", "full_topology_batch", "oracle_critical_points"]
@@ -230,14 +230,24 @@ def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
     Fibonacci-sphere seeding with projected-gradient warm-up and batched
     Newton refinement; clusters of near-critical scatter around degenerate
     points are merged through a midpoint-criticality test.  The seeds run
-    in slices, and the search stops early once it holds count_bound(3, 3)
-    = 7 classes with no degenerate one and no continuum: a finite critical
-    set has no more classes, so the skipped seeds could add only duplicates
-    (`_optim.find_critical_classes`).
+    in slices, and the search stops early once its real classes, none
+    degenerate and no continuum, together with the non-real eigenvector
+    classes that a small complex Newton verifies, number count_bound(3, 3)
+    = 7.  Over C a symmetric tensor with finitely many eigenvector classes
+    has exactly 7 counted with multiplicity (Cartwright and Sturmfels,
+    Linear Algebra Appl. 438, 2013), so the skipped seeds could add only
+    duplicates (`_optim.find_critical_classes`).
+
+    The tensor must be fully symmetric to 1e-10 max |a|: the Newton kernel
+    reads only its independent components.  Pass ``tensors.symmetrize(a)``
+    for the cubic form of any other tensor.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     a = as_array(t)
+    if np.max(np.abs(a - symmetrize(a))) > 1e-10 * np.max(np.abs(a)):
+        raise ValueError("the oracle needs a fully symmetric tensor; "
+                         "pass tensors.symmetrize(a) for the cubic form of any other")
     classes, continuum = _optim.find_critical_classes(a, samples=samples)
     points = []
     if classes:

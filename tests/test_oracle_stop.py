@@ -1,17 +1,19 @@
 """The early stop of the dense search in `_optim.find_critical_classes`.
 
-The search skips its remaining seed slices once it holds count_bound(3, 3)
-= 7 classes, none of them degenerate.  These tests hold it to the full sweep
-(the bound set out of reach), count the slices it runs, and check that
-degenerate classes and continua never stop it.
+The search skips its remaining seed slices once its real classes, none of
+them degenerate, and the verified non-real classes of `_nonreal_classes`
+number count_bound(3, 3) = 7.  These tests hold it to the full sweep (the
+bound set out of reach), count the slices it runs, check the non-real
+count on the panel, and check that degenerate classes and continua never
+stop it.
 """
 
 import numpy as np
 import pytest
 
-from octupolar import OrientedParams, from_rho_chi_K, full_topology, oracle_critical_points
+from octupolar import OrientedParams, from_rho_chi_K, full_topology, k_star, oracle_critical_points
 from octupolar import _optim
-from octupolar._optim import _SLICE, _complete, find_critical_classes
+from octupolar._optim import _SLICE, _complete, _nonreal_classes, find_critical_classes
 from test_oracle_snapshot import PANEL, panel_octupole
 
 PI = np.pi
@@ -83,12 +85,63 @@ def panel_runs():
     return runs
 
 
-def test_stop_fires_within_three_slices_on_seven_classes(panel_runs):
+def test_stop_fires_within_three_slices_on_every_panel_tensor(panel_runs):
     for i, (rep, slices) in enumerate(panel_runs):
-        if i in FIVE_CLASS:
-            assert (rep.total, slices) == (10, SLICES), i
-        else:
-            assert rep.total == 14 and slices <= 3, (i, slices)
+        assert rep.total == (10 if i in FIVE_CLASS else 14) and slices <= 3, (i, slices)
+
+
+def test_nonreal_classes_of_the_panel():
+    for i in range(PANEL):
+        a = panel_octupole(i).array
+        x, lam = _nonreal_classes(a)
+        if i not in FIVE_CLASS:
+            assert len(x) == 0, i
+            continue
+        assert len(x) == 2, i       # one conjugate pair, up to x ~ -x
+        assert min(np.abs(x[1] - x[0].conj()).max(), np.abs(x[1] + x[0].conj()).max()) < 1e-12
+        assert np.abs(x[0].imag).max() > 1e-2
+        np.testing.assert_allclose(np.einsum("ijk,nj,nk->ni", a, x, x), lam[:, None] * x,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose((x * x).sum(1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_five_classes_complete_only_with_their_nonreal_pair():
+    a = panel_octupole(FIVE_CLASS[0]).array
+    five = [(x, lam, None) for x, lam in find_critical_classes(a, SAMPLES)[0]]
+    assert len(five) == 5 and _complete(a, five) and not _complete(a, five[:4])
+    assert not _complete(a, five, lambda: 0) and not _complete(a, five, lambda: 4)
+    # a seven-class tensor has no non-real class to make up five real ones
+    b = panel_octupole(3).array
+    seven = [(x, lam, None) for x, lam in find_critical_classes(b, SAMPLES)[0]]
+    assert len(seven) == 7 and not _complete(b, seven[:5])
+
+
+def near_separatrix_tensors():
+    """24 seeded (rho, chi) columns at K = K*(1 - d) and K*(1 + d), d from 1e-2 down to 1e-6."""
+    rng = np.random.default_rng(20)
+    out = []
+    for j in range(24):
+        r, c = rng.uniform(0.05, 1.95), rng.uniform(-PI / 2 + 0.05, -PI / 6 - 0.05)
+        ks, d = k_star(r, c).k, 10.0 ** -(2 + j % 5)
+        out += [from_rho_chi_K(OrientedParams(r, c, ks * (1 + side * d))).array
+                for side in (-1, 1)]
+    return out
+
+
+def test_near_separatrix_stops_match_the_full_sweep(monkeypatch):
+    samples = 3 * _SLICE
+    tensors = near_separatrix_tensors()
+    calls = count_slices(monkeypatch)
+    stopped, slices = [], []
+    for a in tensors:
+        calls.clear()
+        stopped.append(outcome(a, samples))
+        slices.append(len(calls))
+    assert all(s < 3 for s in slices), slices
+    assert [rep.total for rep in stopped] == [10, 14] * 24     # the K*(1 - d) side has 5 classes
+    full_sweep(monkeypatch)
+    for a, got in zip(tensors, stopped):
+        assert_same(got, outcome(a, samples))
 
 
 def test_panel_matches_the_full_sweep(panel_runs, monkeypatch):

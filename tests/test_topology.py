@@ -6,6 +6,7 @@ from octupolar import (
     oracle_critical_points, solve_oriented, tetrahedral_tensor,
 )
 from octupolar import _optim, eigen
+from octupolar.tensors import symmetrize
 from octupolar.separatrix import _k_star_rows, _kstar_or_raise, f_function, g_function
 from octupolar.topology import _winding_index
 
@@ -182,3 +183,18 @@ class TestOracle:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             oracle_critical_points(tetrahedral_tensor(1.0), samples=10)
+
+    def test_non_symmetric_input_raises(self):
+        # the Newton kernel reads only the j <= k components, so such input would be mis-solved
+        for seed in range(20):
+            a = np.random.default_rng(seed).normal(size=(3, 3, 3))
+            with pytest.raises(ValueError, match="symmetrize"):
+                oracle_critical_points(a, samples=2000)
+        s = symmetrize(np.random.default_rng(5).normal(size=(3, 3, 3)))
+        noise = 1e-12 * np.random.default_rng(6).normal(size=(3, 3, 3))
+        for a in (s, s + noise):            # asymmetry below 1e-10 max |a| is rounding
+            rep = oracle_critical_points(a, samples=2000)
+            assert rep.total == 10 and rep.index_sum == 2
+            for q in rep.points:
+                grad = 3.0 * np.einsum("ijk,j,k->i", s, q.x, q.x)
+                assert np.abs(grad - (grad @ q.x) * q.x).max() < 1e-9
