@@ -21,21 +21,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return x
 
 
-def potential_batch(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,ni,nj,nk->n", a, x, x, x)
-
-
-def residual_batch(a: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Max-norm residual of the stationarity system A x^2 = lam x, per row.
-
-    ``a`` is one tensor (3, 3, 3) for all rows or one per row (n, 3, 3, 3).
-    """
-    return np.max(np.abs(np.einsum("...ijk,...j,...k->...i", a, x, x) - lam[:, None] * x), axis=1)
-
-
-# The array kernels below take points component-major, x of shape (3, n).
+# The array kernels below take points component-major, x of shape (3, n), real or complex.
+# Every internal evaluation of a symmetric cubic form goes through their coefficients.
 _J, _K = np.triu_indices(3)                           # the six pairs j <= k
 _JK = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])   # position of (j, k) among them
+_W = np.where(_J == _K, 1.0, 2.0)                    # how often each pair occurs in A x x
+_C = 9 * _J[:, None] + 3 * _K[:, None] + np.arange(3)  # flat positions of a_jki, (6, 3)
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 _CROSS_E3 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])   # x -> x cross e3
 _CROSS_E1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])   # x -> x cross e1
@@ -57,11 +48,12 @@ def _coefficients(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With q = x[_J] * x[_K], A x x = b @ q and the six entries of the matrix A x are c @ x.
     One tensor per row, a of shape (n, 3, 3, 3), gives b (3, 6, n) and c (6, 3, n).
     """
-    c = np.asarray(a, dtype=float)[..., _J, _K, :]
-    w = np.where(_J == _K, 1.0, 2.0)
-    if c.ndim == 3:                         # component-major, so the rows slice by [..., rows]
-        c, w = c.transpose(1, 2, 0), w[:, None]
-    return np.swapaxes(c, 0, 1) * w, c
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        c = a.reshape(27)[_C]
+        return c.T * _W, c
+    c = a.reshape(-1, 27).T[_C]             # component-major, so the rows slice by [..., rows]
+    return np.swapaxes(c, 0, 1) * _W[:, None], c
 
 
 def _ax(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -71,6 +63,26 @@ def _ax(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _axx(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     q = x[_J] * x[_K]
     return b @ q if b.ndim == 2 else np.einsum("ipn,pn->in", b, q)
+
+
+def _value(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The cubic form A x^3 at each column of x."""
+    return (x * _axx(b, x)).sum(0)
+
+
+def _residual(b: np.ndarray, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Max-norm residual max |A x^2 - lam x| of the stationarity system at each column of x."""
+    return np.abs(_axx(b, x) - lam * x).max(0)
+
+
+def _frame(x: np.ndarray) -> np.ndarray:
+    """The orthonormal frame (x, u, v) at each unit column of x, shape (3, 3, n): f_a = frame[a]."""
+    return np.concatenate((x, *tangent_basis(x))).reshape(3, 3, -1)
+
+
+def _in_frame(c: np.ndarray, frame: np.ndarray, k: int) -> np.ndarray:
+    """The matrix A f_k in the frame: entries f_a . (A f_k) f_b, shape (3, 3, n)."""
+    return np.einsum("aim,bim->abm", frame, np.einsum("ijm,ajm->aim", _ax(c, frame[k])[_JK], frame))
 
 
 def _rows(coef: np.ndarray, idx) -> np.ndarray:
@@ -98,9 +110,8 @@ def _bordered_step(c: np.ndarray, x: np.ndarray, lam: np.ndarray, f: np.ndarray)
     2x2 solve gives the tangent components, and the x row gives dlam.  A
     singular 2x2 gets 1e-13 added to its diagonal.
     """
-    frame = np.concatenate((x, *tangent_basis(x))).reshape(3, 3, -1)
-    h = np.einsum("aim,bim->abm", frame, np.einsum("ijm,ajm->aim", _ax(c, x)[_JK], frame))
-    h *= 6.0
+    frame = _frame(x)
+    h = 6.0 * _in_frame(c, frame, 0)
     h[[0, 1, 2], [0, 1, 2]] -= 3.0 * lam             # H in the frame
     fq = np.einsum("aim,im->am", frame, f[:3])
     s = np.empty_like(fq)                            # the step in the frame
@@ -168,7 +179,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
         xa /= np.where(nrm == 0.0, 1.0, nrm)
         ga, gna = _bordered(ba, xa, la)
     x[:, active] = xa
-    return x.T, (x * _axx(b, x)).sum(0)
+    return x.T, _value(b, x)
 
 
 _DEGEN_REL = 1e-7        # relative size of a negligible tangent-Hessian eigenvalue
@@ -179,22 +190,20 @@ _PRESTEPS = 3            # projected-gradient steps before the dense search's Ne
 _SLICE = 8192            # seeds per pass of the dense search; its Newton temporaries stay in cache
 
 
-def tangent_hessian(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+def tangent_hessian(c: np.ndarray, x: np.ndarray, lam: np.ndarray):
     """Tangent-Hessian eigenvalues at critical rows, and which of them are degenerate.
 
-    One tensor per row, ``a`` of shape (n, 3, 3, 3), x of shape (n, 3).
-    Returns the ascending eigenvalues (n, 2) of P (6 A x - 3 lam I) P, the
-    rows where both are negligible against 6 max |a|, and the rows where
-    either is: below _DEGEN_REL of the other, or both zero.
+    ``c`` holds the coefficients of one tensor or one per row, x has shape (n, 3).
+    Returns the ascending eigenvalues (n, 2) of P (6 A x - 3 lam I) P, in closed
+    form, the rows where both are negligible against 6 max |a|, and the rows
+    where either is: below _DEGEN_REL of the other, or both zero.
     """
-    scale = np.maximum(np.max(np.abs(a), axis=(1, 2, 3)), 1e-300)
-    basis = np.stack([w.T for w in tangent_basis(x.T)], axis=1)   # (n, 2, 3)
-    h = 6.0 * np.einsum("rijk,rk->rij", a, x) - 3.0 * lam[:, None, None] * np.eye(3)
-    eigs = np.linalg.eigvalsh(basis @ h @ basis.transpose(0, 2, 1))
-    h1, h2 = np.abs(eigs).T
-    big = np.maximum(h1, h2)
-    flat = big <= _DEGEN_REL * 6.0 * scale
-    return eigs, flat, flat | (np.minimum(h1, h2) <= _DEGEN_REL * big) | (big <= 0.0)
+    h = 6.0 * _in_frame(c, _frame(x.T), 0)                # 6 A x in the frame (x, u, v)
+    mid = 0.5 * (h[1, 1] + h[2, 2]) - 3.0 * lam
+    half = np.hypot(0.5 * (h[1, 1] - h[2, 2]), h[1, 2])
+    small, big = np.abs(np.abs(mid) - half), np.abs(mid) + half    # the eigenvalues' magnitudes
+    flat = big <= _DEGEN_REL * 6.0 * np.abs(c).max(axis=(0, 1))
+    return np.stack((mid - half, mid + half), axis=1), flat, flat | (small <= _DEGEN_REL * big)
 
 
 def count_bound(r: int, n: int) -> int:
@@ -298,24 +307,22 @@ def merge_degenerate(a: np.ndarray, points):
     distinguishes the flat valley around a degenerate point from genuinely
     distinct roots.
     """
+    b = _coefficients(a)[0]
+
+    def critical_between(x, lam, px, pl) -> bool:
+        for sgn in (1.0, -1.0):
+            if np.linalg.norm(sgn * x - px) < _MERGE_RADIUS and abs(sgn * lam - pl) < 1e-6:
+                mid = sgn * x + px
+                nrm = np.linalg.norm(mid)
+                if nrm >= 1e-12:
+                    mid = mid[:, None] / nrm
+                    if _residual(b, mid, _value(b, mid))[0] < _CRITICAL_TOL:
+                        return True
+        return False
+
     out = []
     for x, lam, payload in points:
-        merged = False
-        for k, (px, pl, pp) in enumerate(out):
-            for sgn in (1.0, -1.0):
-                if np.linalg.norm(sgn * x - px) < _MERGE_RADIUS and abs(sgn * lam - pl) < 1e-6:
-                    mid = sgn * x + px
-                    nrm = np.linalg.norm(mid)
-                    if nrm < 1e-12:
-                        continue
-                    mid /= nrm
-                    lmid = np.einsum("ijk,i,j,k->", a, mid, mid, mid)
-                    if residual_batch(a, mid[None], lmid[None])[0] < _CRITICAL_TOL:
-                        merged = True
-                        break
-            if merged:
-                break
-        if not merged:
+        if not any(critical_between(x, lam, px, pl) for px, pl, _ in out):
             out.append((x, lam, payload))
     return out
 
@@ -369,13 +376,12 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     return points, continuum
 
 
-def _bordered_complex(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+def _bordered_complex(b: np.ndarray, c: np.ndarray, x: np.ndarray, lam: np.ndarray):
     """Residual (A x^2 - lam x, (x^T x - 1)/2), shape (n, 4), and Jacobian (n, 4, 4) of complex rows."""
-    m = np.einsum("ijk,nk->nij", a, x)
-    f = np.concatenate((np.einsum("nij,nj->ni", m, x) - lam[:, None] * x,
+    f = np.concatenate((_axx(b, x.T).T - lam[:, None] * x,
                         0.5 * ((x * x).sum(1, keepdims=True) - 1.0)), axis=1)
     jac = np.zeros((len(x), 4, 4), dtype=complex)
-    jac[:, :3, :3] = 2.0 * m - lam[:, None, None] * np.eye(3)
+    jac[:, :3, :3] = 2.0 * _ax(c, x.T)[_JK].transpose(2, 0, 1) - lam[:, None, None] * np.eye(3)
     jac[:, :3, 3], jac[:, 3, :3] = -x, x
     return f, jac
 
@@ -396,15 +402,15 @@ def _nonreal_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (x (m, 3), lam (m,)), both complex, scaled back.
     """
     e = np.frexp(np.max(np.abs(a)))[1]
-    a = np.ldexp(a, -e)
+    b, c = _coefficients(np.ldexp(a, -e))
     rng = np.random.default_rng(0)
     x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
     x /= np.sqrt((x * x).sum(1))[:, None]
-    lam = np.einsum("ijk,ni,nj,nk->n", a, x, x, x)
+    lam = _value(b, x.T)
     live = np.arange(len(x))
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f, jac = _bordered_complex(a, x[live], lam[live])
+            f, jac = _bordered_complex(b, c, x[live], lam[live])
             go = np.isfinite(jac).all(axis=(1, 2)) & (np.abs(f).max(1) > 1e-15)
             live, f, jac = live[go], f[go], jac[go]
             if live.size == 0:
@@ -415,7 +421,7 @@ def _nonreal_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break                       # an exactly singular Jacobian: stop where the seeds are
             x[live] -= step[:, :3]
             lam[live] -= step[:, 3]
-        f, jac = _bordered_complex(a, x, lam)
+        f, jac = _bordered_complex(b, c, x, lam)
         ok = np.isfinite(jac).all(axis=(1, 2))
         x, lam, f, jac = x[ok], lam[ok], f[ok], jac[ok]
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -449,7 +455,7 @@ def _complete(a: np.ndarray, points, nonreal=None) -> bool:
         return False
     x = np.array([p[0] for p in points])
     lam = np.array([p[1] for p in points])
-    if tangent_hessian(np.broadcast_to(a, (len(x), 3, 3, 3)), x, lam)[2].any():
+    if tangent_hessian(_coefficients(a)[1], x, lam)[2].any():
         return False
     if len(points) == bound:
         return True
@@ -472,19 +478,12 @@ def find_critical_classes(a: np.ndarray, samples: int):
     tensor, critical everywhere, is a continuum with no classes.
 
     The search stops before the remaining slices once the classes are
-    complete (`_complete`): no continuum, every real class simple, with
-    neither tangent-Hessian eigenvalue negligible, and the real classes plus
-    the verified non-real eigenvector classes of `_nonreal_classes` number
-    count_bound(3, 3) = 7.  The classes are re-derived only after a slice
-    that added a key, and the non-real search runs at most once per call,
-    only when the real classes are simple and fewer than 7 and a slice
-    remains to be skipped.  This is sound: over C a symmetric tensor with
-    finitely many eigenvector classes has exactly 7 of them counted with
-    multiplicity (Cartwright and Sturmfels, Linear Algebra Appl. 438, 2013),
-    so once 7 distinct simple ones are found the skipped seeds could only
-    add duplicates or spurious classes.  A continuum that slips under the
-    64-key rule shows up as scattered points of it, which are degenerate
-    and never stop the search.
+    complete (`_complete`, which argues why this is sound): no continuum,
+    and count_bound(3, 3) = 7 simple classes, real or verified non-real.
+    The classes are re-derived only after a slice that added a key, and the
+    non-real search runs at most once per call, only when a slice remains
+    to be skipped.  A continuum that slips under the 64-key rule shows up as
+    scattered points of it, which are degenerate and never stop the search.
     """
     peak = np.max(np.abs(a))
     if peak == 0.0:

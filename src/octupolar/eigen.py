@@ -618,33 +618,33 @@ def solve_block(params) -> SolvedBlock:
     x = np.einsum("rji,rj->ri", ops[cell], x)
     x /= np.sqrt((x * x).sum(axis=1))[:, None]
     arrays = oriented_arrays(params)
-    lam = np.einsum("rijk,ri,rj,rk->r", arrays[cell], x, x, x)
+    b = _optim._coefficients(arrays)[0]             # one set per cell, indexed per row
+    lam = _optim._value(b[..., cell], x.T)
     keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
     cell, x, lam, mult, branch = cell[keep], x[keep], lam[keep], mult[keep], branch[keep]
 
-    res = _optim.residual_batch(arrays[cell], x, lam)
+    res = _optim._residual(b[..., cell], x.T, lam)
     rough = np.flatnonzero(res > _POLISH_TOL)
     if rough.size:
-        a = arrays[cell[rough]]
+        a = arrays[cell[rough]]             # newton_refine takes the rough rows' tensors
         x[rough], lam[rough] = _optim.newton_refine(a, x[rough], lam[rough], iters=30)
-        res[rough] = _optim.residual_batch(a, x[rough], lam[rough])
+        res[rough] = _optim._residual(b[..., cell[rough]], x[rough].T, lam[rough])
     errors = [None] * n
     for r in np.flatnonzero(res > _RESIDUAL_TOL)[::-1]:   # the first bad row of a cell wins
         i = cell[r]
         found = ", ".join(f"{b} lam={l:.6g}" for b, l in zip(branch[cell == i], lam[cell == i]))
         errors[i] = (f"eigenpair residual {res[r]:.2e} exceeds tolerance on branch {branch[r]} "
                      f"at {params[i]}; classes found: {found}")
-    ok = np.array([e is None for e in errors])[cell]
-    cell, x, lam, mult, branch = cell[ok], x[ok], lam[ok], mult[ok], branch[ok]
 
-    flip = _optim.canonical_flip(x)
-    x[flip] *= -1.0
-    lam[flip] *= -1.0
-    # a polish step may have pulled plane-adjacent duplicates together
+    sign = np.where(_optim.canonical_flip(x), -1.0, 1.0)
+    x *= sign[:, None]
+    lam *= sign
+    # a polish step may have pulled plane-adjacent duplicates together; the dedupe
+    # is per cell, so the rows of failed cells, dropped here, change nothing
     keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
     # by descending lam, then x1, x2; rounding keeps symmetry-equal classes
     # in the same order whatever their last-digit noise
-    order = np.flatnonzero(keep)
+    order = np.flatnonzero(keep & np.array([e is None for e in errors])[cell])
     order = order[np.lexsort((-np.round(x[order, 1], 12), -np.round(x[order, 0], 12),
                               -np.round(lam[order], 12), cell[order]))]
     return SolvedBlock(params=params, arrays=arrays, continuum=continuum, errors=errors,

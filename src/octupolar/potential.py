@@ -313,13 +313,13 @@ def orient(t) -> Orientation:
         raise ValueError("cannot orient the zero tensor")
     OctupolarTensor.from_array(a)  # validates symmetry and tracelessness
     seeds = _optim.fibonacci_sphere(64)
-    values = _optim.potential_batch(a, seeds)
+    values = eval_potential(a, seeds)
     x = seeds[np.argmax(values)][:, None]
     step = 0.1 / values.max()   # relative to the best seed value: the tensor's scale drops out
     for _ in range(20):
         x = x + step * _optim.surface_gradient(a, x)
         x /= np.linalg.norm(x)
-    x, lam = _optim.newton_refine(a, x.T, _optim.potential_batch(a, x.T))
+    x, lam = _optim.newton_refine(a, x.T, eval_potential(a, x.T))
     start = _orient_at(a, x[0], lam[0])
     sol = solve_oriented(start.params)
     lam = np.array([pr.lam for pr in sol.pairs])
@@ -366,7 +366,7 @@ def sample_grid(t, grid: SphereGrid, mode: str = "sphere") -> np.ndarray:
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
         tt, pp = tt.ravel(), pp.ravel()
         x = np.stack([np.cos(tt) * np.cos(pp), np.sin(tt) * np.cos(pp), np.sin(pp)], axis=1)
-        vals = _optim.potential_batch(a, x)
+        vals = eval_potential(a, x)
         return np.column_stack([tt, pp, x, vals])
     if mode not in ("north", "south", "contour"):
         raise ValueError(f"unknown grid mode {mode!r}")
@@ -377,7 +377,7 @@ def sample_grid(t, grid: SphereGrid, mode: str = "sphere") -> np.ndarray:
     u, v, h = u.ravel()[inside], v.ravel()[inside], np.sqrt(1.0 - r2[inside])
     x = np.stack({"north": (u, v, h), "south": (u, v, -h), "contour": (u, h, v)}[mode], axis=1)
     return np.column_stack([np.arctan2(x[:, 1], x[:, 0]), np.arcsin(np.clip(x[:, 2], -1, 1)),
-                            x, _optim.potential_batch(a, x)])
+                            x, eval_potential(a, x)])
 
 
 def write_grid_csv(rows: np.ndarray, stream) -> None:

@@ -64,7 +64,9 @@ TETRAHEDRAL_VECTORS = np.array([
 ]) / np.sqrt(3.0)
 TETRAHEDRAL_VECTORS.flags.writeable = False
 
-_PERMS = tuple(permutations(range(3)))
+#: Flat positions of the 27 entries under each of the six index permutations, one row each.
+_PERMS = np.array([np.arange(27).reshape(3, 3, 3).transpose(p).ravel()
+                   for p in permutations(range(3))])
 
 
 def as_array(t) -> np.ndarray:
@@ -83,7 +85,18 @@ def as_array(t) -> np.ndarray:
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Average of a (3,3,3) array over all six index permutations."""
-    return sum(np.transpose(a, p) for p in _PERMS) / 6.0
+    return (np.reshape(a, 27)[_PERMS].sum(0) / 6.0).reshape(3, 3, 3)   # rows summed in order
+
+
+def _symmetric_array(t, tol: float = 1e-10) -> np.ndarray:
+    """The components of t, which must be fully symmetric to tol max |a|."""
+    if isinstance(t, (SymTensor3, OctupolarTensor)):
+        return t.array                      # symmetric by construction
+    a = as_array(t)
+    if np.abs(a - symmetrize(a)).max() > tol * max(np.abs(a).max(), 1e-300):
+        raise ValueError("components are not fully symmetric; "
+                         "pass tensors.symmetrize(a) for the cubic form of any other tensor")
+    return a
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -185,11 +198,7 @@ class SymTensor3:
 
     @classmethod
     def from_array(cls, a, tol: float = 1e-10) -> "SymTensor3":
-        a = as_array(a)
-        scale = max(np.max(np.abs(a)), 1e-300)
-        if np.max(np.abs(a - symmetrize(a))) > tol * scale:
-            raise ValueError("components are not symmetric under index permutations")
-        return cls(**_sym_from_array(a))
+        return cls(**_sym_from_array(_symmetric_array(a, tol)))
 
     def to_tensor3(self) -> Tensor3:
         return Tensor3(self.array)
@@ -230,11 +239,8 @@ class OctupolarTensor:
 
     @classmethod
     def from_array(cls, a, tol: float = 1e-10) -> "OctupolarTensor":
-        a = as_array(a)
-        scale = max(np.max(np.abs(a)), 1e-300)
-        if np.max(np.abs(a - symmetrize(a))) > tol * scale:
-            raise ValueError("components are not fully symmetric")
-        if np.max(np.abs(np.einsum("iik->k", a))) > tol * scale:
+        a = _symmetric_array(a, tol)
+        if np.max(np.abs(np.einsum("iik->k", a))) > tol * max(np.max(np.abs(a)), 1e-300):
             raise ValueError("partial traces do not vanish")
         return cls(alpha0=a[0, 1, 2], alpha1=a[0, 0, 0], alpha2=a[1, 1, 1],
                    alpha3=a[2, 2, 2], beta1=a[0, 1, 1], beta2=a[1, 2, 2],

@@ -17,7 +17,7 @@ import numpy as np
 from . import _optim
 from .eigen import Eigenpair, solve_oriented, solved_blocks
 from .potential import OrientedParams, from_rho_chi_K
-from .tensors import as_array, symmetrize
+from .tensors import _symmetric_array
 
 __all__ = ["CriticalPoint", "TopologyReport", "classify", "critical_point_totals",
            "full_topology", "full_topology_batch", "oracle_critical_points"]
@@ -72,23 +72,21 @@ class TopologyReport:
                    for k in ("saddle", "degenerate_saddle", "monkey_saddle"))
 
 
-def _winding_index(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _winding_index(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Winding numbers of the normalized surface gradient around the rows of x.
 
-    One tensor per row, ``a`` of shape (n, 3, 3, 3), x of shape (n, 3).  In
-    each row's frame (x, u, v) the circle is the same curve
+    ``c`` holds the coefficients of one tensor or one per row, x has shape (n, 3).
+    In each row's frame (x, u, v) the circle is the same curve
     p = (cos r, sin r cos th, sin r sin th), so the frame components of the
     gradient, A p p, are the row's tensor in its frame times one fixed
     (9, samples) basis of the products of two components of p.
     """
-    frame = np.stack((x, *(w.T for w in _optim.tangent_basis(x.T))), axis=1)    # (n, 3, 3)
-    m = np.einsum("rijk,rck->rijc", a, frame)
-    m = np.einsum("rijc,rbj->ribc", m, frame)
-    m = np.einsum("ribc,rai->rabc", m, frame)                  # each row's tensor in its frame
+    frame = _optim._frame(x.T)
+    m = np.stack([_optim._in_frame(c, frame, k) for k in range(3)])   # (k, a, b, n)
     th = 2.0 * np.pi * np.arange(_WINDING_SAMPLES) / _WINDING_SAMPLES
     p = np.stack((np.full(_WINDING_SAMPLES, np.cos(_WINDING_RADIUS)),
                   np.sin(_WINDING_RADIUS) * np.cos(th), np.sin(_WINDING_RADIUS) * np.sin(th)))
-    grad = m.reshape(-1, 3, 9) @ (p[:, None] * p).reshape(9, _WINDING_SAMPLES)  # (n, 3, samples)
+    grad = m.transpose(3, 1, 0, 2).reshape(-1, 3, 9) @ (p[:, None] * p).reshape(9, _WINDING_SAMPLES)
     radial = np.einsum("ram,am->rm", grad, p)
     gu, gv = grad[:, 1] - radial * p[1], grad[:, 2] - radial * p[2]
     ang = np.unwrap(np.arctan2(gv, gu), axis=1)
@@ -97,14 +95,14 @@ def _winding_index(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.rint((ang[:, -1] - ang[:, 0] + closing) / (2.0 * np.pi)).astype(int)
 
 
-def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+def _classify_rows(c: np.ndarray, x: np.ndarray, lam: np.ndarray):
     """Kind, index and tangent-Hessian eigenvalues of critical points.
 
-    One tensor per row, ``a`` of shape (n, 3, 3, 3).  The eigenvalues of the
-    tangential Hessian P (6 A x - 3 lam I) P decide the kind; rows where
-    either is negligible (`_optim.tangent_hessian`, whose rule the oracle's
-    early stop shares) get their index from the winding number.  Returns
-    (kinds, indices, eigenvalues (n, 2) ascending).
+    ``c`` holds the coefficients of one tensor or one per row.  The
+    eigenvalues of the tangential Hessian P (6 A x - 3 lam I) P decide the
+    kind; rows where either is negligible (`_optim.tangent_hessian`, whose
+    rule the oracle's early stop shares) get their index from the winding
+    number.  Returns (kinds, indices, eigenvalues (n, 2) ascending).
 
     The rows must be critical points, and callers own that check: `classify`
     makes it on its outside input, while `solve_block` has already dropped
@@ -112,13 +110,13 @@ def _classify_rows(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     rows within 1e-9 on its tensor scaled to max |a| in [1/2, 1), both well
     inside the 1e-6 * max(1, max |a|) that `classify` allows.
     """
-    eigs, both_degenerate, degenerate = _optim.tangent_hessian(a, x, lam)
+    eigs, both_degenerate, degenerate = _optim.tangent_hessian(c, x, lam)
     h1, h2 = eigs[:, 0], eigs[:, 1]
     kind = np.where(h2 < 0, 0, np.where(h1 > 0, 1, 2))    # KINDS position
     index = np.where(kind < 2, 1, -1)
-    rows = np.flatnonzero(degenerate)
+    rows = degenerate.nonzero()[0]
     if rows.size:
-        idx = index[rows] = _winding_index(a[rows], x[rows])
+        idx = index[rows] = _winding_index(_optim._rows(c, rows), x[rows])
         kind[rows] = np.select([idx == 1, idx == -1, (idx == -2) & both_degenerate[rows]],
                                [np.where(h1[rows] + h2[rows] < 0, 0, 1), 2, 4], 3)
     return [KINDS[k] for k in kind.tolist()], index, eigs
@@ -137,18 +135,19 @@ def _points(x, lam, kinds, index, eigs, branch=None, mult=None) -> list:
 
 
 def classify(t, pair: Eigenpair | tuple) -> CriticalPoint:
-    """Classify one critical point of the cubic form restricted to the sphere."""
-    a = as_array(t)
+    """Classify one critical point of the cubic form of a fully symmetric tensor on the sphere."""
+    a = _symmetric_array(t)
     if isinstance(pair, Eigenpair):
         x, lam = np.asarray(pair.x, dtype=float), float(pair.lam)
         branch, mult = pair.branch, pair.multiplicity_hint
     else:
         x, lam = np.asarray(pair[0], dtype=float), float(pair[1])
         branch, mult = None, 1
-    res = _optim.residual_batch(a[None], x[None], np.array([lam]))[0]
-    if res > 1e-6 * max(1.0, np.max(np.abs(a))):
+    b, c = _optim._coefficients(a)
+    res = _optim._residual(b, x[:, None], lam)[0]
+    if res > 1e-6 * max(1.0, np.abs(a).max()):
         raise ValueError(f"point is not critical (residual {res:.2e})")
-    kinds, index, eigs = _classify_rows(a[None], x[None], np.array([lam]))
+    kinds, index, eigs = _classify_rows(c, x[None], np.array([lam]))
     h1, h2 = eigs[0].tolist()
     return CriticalPoint(x=x, lam=lam, kind=kinds[0], index=int(index[0]), hessian_eigs=(h1, h2),
                          branch=branch, multiplicity_hint=mult)
@@ -171,10 +170,10 @@ def _report(points, params, continuum) -> TopologyReport:
 def full_topology(p: OrientedParams) -> TopologyReport:
     """Solve and classify every critical point (both antipodal partners)."""
     sol = solve_oriented(p)
-    a = from_rho_chi_K(p).array
+    t = from_rho_chi_K(p)               # a typed tensor: classify need not check its symmetry
     points = []
     for pair in sol.pairs:
-        cp = classify(a, pair)
+        cp = classify(t, pair)
         points.append(cp)
         points.append(cp.antipode())
     return _report(points, p, sol.continuum)
@@ -189,8 +188,9 @@ def full_topology_batch(params) -> list[TopologyReport]:
     """
     out = []
     for block in solved_blocks(params):
-        points = _points(block.x, block.lam, *_classify_rows(block.arrays[block.cell], block.x,
-                                                             block.lam), block.branch, block.mult)
+        c = _optim._coefficients(block.arrays)[1][..., block.cell]
+        points = _points(block.x, block.lam, *_classify_rows(c, block.x, block.lam),
+                         block.branch, block.mult)
         for i, p in enumerate(block.params):
             if block.errors[i] is not None:
                 raise RuntimeError(block.errors[i])
@@ -209,7 +209,8 @@ def critical_point_totals(params) -> list[int]:
     out = []
     for block in solved_blocks(params):
         n = len(block.params)
-        kinds, index, eigs = _classify_rows(block.arrays[block.cell], block.x, block.lam)
+        c = _optim._coefficients(block.arrays)[1][..., block.cell]
+        kinds, index, eigs = _classify_rows(c, block.x, block.lam)
         index_sum = np.bincount(block.cell, weights=2 * index, minlength=n)
         failed = np.array([e is not None for e in block.errors])
         failed |= ~block.continuum & (index_sum != 2)
@@ -233,27 +234,21 @@ def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
     in slices, and the search stops early once its real classes, none
     degenerate and no continuum, together with the non-real eigenvector
     classes that a small complex Newton verifies, number count_bound(3, 3)
-    = 7.  Over C a symmetric tensor with finitely many eigenvector classes
-    has exactly 7 counted with multiplicity (Cartwright and Sturmfels,
-    Linear Algebra Appl. 438, 2013), so the skipped seeds could add only
-    duplicates (`_optim.find_critical_classes`).
+    = 7: then the skipped seeds could add only duplicates, as
+    `_optim._complete` argues after Cartwright and Sturmfels (2013).
 
-    The tensor must be fully symmetric to 1e-10 max |a|: the Newton kernel
-    reads only its independent components.  Pass ``tensors.symmetrize(a)``
-    for the cubic form of any other tensor.
+    The tensor must be fully symmetric to 1e-10 max |a|; pass
+    ``tensors.symmetrize(a)`` for the cubic form of any other tensor.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
-    a = as_array(t)
-    if np.max(np.abs(a - symmetrize(a))) > 1e-10 * np.max(np.abs(a)):
-        raise ValueError("the oracle needs a fully symmetric tensor; "
-                         "pass tensors.symmetrize(a) for the cubic form of any other")
+    a = _symmetric_array(t)
     classes, continuum = _optim.find_critical_classes(a, samples=samples)
     points = []
     if classes:
         x = np.array([xi for xi, _ in classes])
         lam = np.array([li for _, li in classes])
-        points = _points(x, lam, *_classify_rows(np.broadcast_to(a, (len(x), 3, 3, 3)), x, lam))
+        points = _points(x, lam, *_classify_rows(_optim._coefficients(a)[1], x, lam))
     if continuum:
         return TopologyReport(params=None, points=tuple(points),
                               index_sum=sum(p.index for p in points),

@@ -6,13 +6,18 @@ import warnings
 
 import numpy as np
 
-from octupolar import OrientedParams, eigen, from_rho_chi_K, solve_oriented, tetrahedral_tensor
+from octupolar import (OrientedParams, eigen, eval_potential, from_rho_chi_K, solve_oriented,
+                       tetrahedral_tensor)
 from octupolar import _optim
 from octupolar._optim import (_bordered, _bordered_step, _coefficients, dedupe_classes,
-                              dedupe_rows, fibonacci_sphere, newton_refine, potential_batch,
-                              residual_batch)
+                              dedupe_rows, fibonacci_sphere, newton_refine)
 
 PI = np.pi
+
+
+def residual_batch(a, x, lam):
+    """max |A x^2 - lam x| per row, for one tensor (3, 3, 3) or one per row (n, 3, 3, 3)."""
+    return np.max(np.abs(np.einsum("...ijk,...j,...k->...i", a, x, x) - lam[:, None] * x), axis=1)
 
 
 def test_step_is_the_bordered_4x4_solve():
@@ -39,12 +44,12 @@ def test_critical_rows_come_back_unchanged():
     for p in [OrientedParams(0.5, -1.2, 0.8), OrientedParams(1.4, -0.7, 2.5), OrientedParams(1.0, -PI / 2, 0.0)]:
         a = from_rho_chi_K(p).array
         x = np.array([q.x for q in solve_oriented(p).pairs])
-        x, lam = newton_refine(a, x, potential_batch(a, x))
+        x, lam = newton_refine(a, x, eval_potential(a, x))
         assert np.max(residual_batch(a, x, lam)) <= 1e-14
         x2, lam2 = newton_refine(a, x, lam)
         assert np.max(np.abs(x2 - x)) <= 1e-14
         assert np.max(np.abs(lam2 - lam)) <= 1e-14
-        assert np.max(np.abs(lam2 - potential_batch(a, x2))) <= 1e-14
+        assert np.max(np.abs(lam2 - eval_potential(a, x2))) <= 1e-14
 
 
 def test_degenerate_tensors_stay_finite_without_warnings():
@@ -57,7 +62,7 @@ def test_degenerate_tensors_stay_finite_without_warnings():
         a = from_rho_chi_K(p).array
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x, lam = newton_refine(a, seeds, potential_batch(a, seeds))
+            x, lam = newton_refine(a, seeds, eval_potential(a, seeds))
         assert x.shape == seeds.shape and lam.shape == (len(seeds),)
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(lam))
         np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
@@ -70,7 +75,7 @@ def test_positional_iters_call():
     rng = np.random.default_rng(7)
     x0 = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0) + 1e-4 * rng.normal(size=(3, 3))
     x0 /= np.linalg.norm(x0, axis=1)[:, None]
-    x, lam = newton_refine(a, x0, potential_batch(a, x0), iters=30)
+    x, lam = newton_refine(a, x0, eval_potential(a, x0), iters=30)
     assert x.shape == (3, 3) and lam.shape == (3,)
     assert np.max(residual_batch(a, x, lam)) <= 1e-14
 

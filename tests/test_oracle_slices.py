@@ -11,12 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from octupolar import OrientedParams, from_rho_chi_K, oracle_critical_points
+from octupolar import OrientedParams, eval_potential, from_rho_chi_K, oracle_critical_points
 from octupolar import _optim
 from octupolar._optim import (_PRESTEPS, _SLICE, _axx, _coefficients, _first_of_each,
                               canonical_flip, dedupe_classes, fibonacci_sphere,
                               find_critical_classes, merge_degenerate, newton_refine,
-                              potential_batch, surface_gradient)
+                              surface_gradient)
 from test_oracle_snapshot import panel_octupole
 
 PI = np.pi
@@ -82,13 +82,13 @@ def test_lowest_index_row_wins_across_slices(monkeypatch):
         start = sum(calls)
         calls.append(len(x))
         rows = x_star + 1e-14 * np.arange(start, start + len(x))[:, None] * d
-        return rows, potential_batch(a, rows)
+        return rows, eval_potential(a, rows)
 
     monkeypatch.setattr(_optim, "newton_refine", fake_newton)
     (x, lam), = find_critical_classes(a, samples)[0]
     assert calls == [_SLICE, 5]
     np.testing.assert_array_equal(x, x_star)           # seed 0, not seed _SLICE of the second slice
-    assert lam == potential_batch(a, x[None])[0]
+    assert lam == eval_potential(a, x[None])[0]
 
 
 def test_first_of_each_keeps_the_first_row_and_takes_no_rows():

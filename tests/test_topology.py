@@ -52,6 +52,21 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(t, (np.array([1.0, 0.0, 0.0]) / 1.0, 0.5))
 
+    def test_non_symmetric_input_raises(self):
+        # each tensor has the cubic form of s, but the coefficient kernel reads only the
+        # components a_ijk with j <= k: the maximum would be rejected as not critical
+        p = OrientedParams(1.2, -1.1, 0.9)
+        s = from_rho_chi_K(p).array
+        n = np.random.default_rng(3).normal(size=(3, 3, 3))
+        m = n + n.transpose(0, 2, 1)                # symmetric in its last two indices only
+        q = max(solve_oriented(p).pairs, key=lambda q: q.lam)
+        for a in (s + n - symmetrize(n), s + m - symmetrize(m)):
+            with pytest.raises(ValueError, match="not fully symmetric; pass tensors.symmetrize"):
+                classify(a, q)
+        got, want = classify(symmetrize(s + n - symmetrize(n)), q), classify(s, q)
+        assert (got.kind, got.index) == (want.kind, want.index) == ("maximum", 1)
+        np.testing.assert_allclose(got.hessian_eigs, want.hessian_eigs, rtol=1e-12)
+
     def test_winding_matches_hessian_sign(self):
         for _ in range(8):
             p = OrientedParams(rng.uniform(0.1, 1.9),
@@ -63,7 +78,8 @@ class TestClassify:
                 h1, h2 = cp.hessian_eigs
                 if min(abs(h1), abs(h2)) > 1e-6 * max(abs(h1), abs(h2), 1.0):
                     expected = 1 if h1 * h2 > 0 else -1
-                    assert _winding_index(t.array[None], q.x[None])[0] == expected == cp.index
+                    assert _winding_index(_optim._coefficients(t.array)[1], q.x[None])[0] \
+                        == expected == cp.index
 
 
 def winding_reference(a, x, radius=1e-3, samples=720) -> int:
@@ -94,7 +110,7 @@ def test_batched_winding_matches_the_per_point_reference():
     block = eigen.solve_block([OrientedParams(*c) for c in cells])
     block.raise_first_error()
     a = block.arrays[block.cell]
-    got = _winding_index(a, block.x)
+    got = _winding_index(_optim._coefficients(a)[1], block.x)
     want = [winding_reference(a[r], block.x[r]) for r in range(len(got))]
     assert got.tolist() == want
     assert len(want) > 5000 and {-2, 0, 1, -1} <= set(want)
