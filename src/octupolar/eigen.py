@@ -14,8 +14,9 @@ disk solver serves it.  Every branch solver works on all of its cells at
 once.
 
 For a tensor that is only symmetric in its last two indices the analogous
-objects are the stationary pairs of the bilinear form x . A[y (x) y]; these
-feed the incremental rank-one approximation.
+objects are the stationary triples of the bilinear form x . A[y (x) y]; all
+of them come from one chart solve, the quartic |A : yy|^2 in place of the
+cubic form, and the top one feeds the incremental rank-one approximation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import _optim
 from ._optim import count_bound
-from .potential import _TOL_DISK, OrientedParams, canonicalize_arrays, oriented_arrays, rotation_z
+from .potential import (_TOL_DISK, OrientedParams, canonicalize_arrays, oriented_arrays, _param_rows,
+                        rotation_z)
 from .tensors import as_array
 
 __all__ = [
@@ -534,14 +536,13 @@ def _solve_generic(rho: np.ndarray, chi: np.ndarray, k: np.ndarray):
 
 
 def _branch_rows(params):
-    """Canonical-frame map and raw entries of a block of parameter points.
+    """Canonical-frame map and raw entries of a block of parameter points (`_param_rows`).
 
     Returns (ops, continuum, cell, x, branch, mult) with the rows grouped by
     ascending cell, each cell's pole first.  Each solver family runs once, on
     all of its cells together.
     """
-    n = len(params)
-    canon, ops, _mirrored = canonicalize_arrays(*np.reshape([p.as_tuple() for p in params], (n, 3)).T)
+    canon, ops, _mirrored = canonicalize_arrays(*_param_rows(params).T)
     rho, chi, k = canon
     axis, flat = rho <= _TOL_CHI, k <= _TOL_DISK
     pi2, pi6 = np.abs(chi + np.pi / 2) <= _TOL_CHI, np.abs(chi + np.pi / 6) <= _TOL_CHI
@@ -614,10 +615,11 @@ def solve_block(params) -> SolvedBlock:
     """
     params = list(params)
     n = len(params)
-    ops, continuum, cell, x, branch, mult = _branch_rows(params)
+    rows = _param_rows(params)
+    ops, continuum, cell, x, branch, mult = _branch_rows(rows)
     x = np.einsum("rji,rj->ri", ops[cell], x)
     x /= np.sqrt((x * x).sum(axis=1))[:, None]
-    arrays = oriented_arrays(params)
+    arrays = oriented_arrays(rows)
     b = _optim._coefficients(arrays)[0]             # one set per cell, indexed per row
     lam = _optim._value(b[..., cell], x.T)
     keep, mult = _optim.dedupe_rows(cell, x, lam, mult)
@@ -685,7 +687,8 @@ def solve_oriented(p: OrientedParams) -> EigenSolution:
 
 
 # ---------------------------------------------------------------------------
-# stationary pairs of the bilinear form for last-two-index symmetric tensors
+# stationary triples of the bilinear form for last-two-index symmetric tensors:
+# the critical points of |A : yy|^2 on the sphere, from one chart solve
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -706,49 +709,190 @@ def _check_piezo(a: np.ndarray, tol: float = 1e-10) -> None:
         raise ValueError("tensor must be symmetric in its last two indices")
 
 
-def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
-    """Stationary triples of x . A[y (x) y] by one batched alternating ascent.
+#: the fixed generic rotation R of the chart y ~ R (u, v, 1)
+_CHART_ROTATION = np.linalg.qr(np.array([[0.48, -0.61, 0.12], [0.73, 0.27, -0.55],
+                                         [-0.21, 0.66, 0.83]]))[0]
+_CHART_RADIUS = 1.5      # |u| of the determinant's interpolation points
+_CROWD = 1e-2            # relative gap below which u roots form a crowd, and its realness
+_RANK_ONE = 1e-10        # relative second singular value of a numerically rank-one unfolding
+_NEAR = 0.1              # relative singular value of a nearly degenerate unfolding
+_CEIGEN_GATE = 1e-10     # lam / |A| of the smallest triple kept
 
-    All starts advance together.  A sweep sets x = A : y (x) y / |A : y (x) y|
-    and then y to the top eigenvector of the symmetric matrix x . A.  A start
-    retires when no component of x moves by more than 1e-9 (x is quadratic
-    in y, so the arbitrary sign of y cannot stall this), or stops where it
-    is when A : y (x) y vanishes.  Triples passing the residual check are
-    deduplicated up to the sign family, the first start winning, and
-    returned with lam >= 0, sorted descending.
+
+def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.ndarray:
+    """Real unit points y (k, 3) that may solve y || g(y), for a map g homogeneous of degree m.
+
+    g takes complex columns (3, p) to (3, p).  In the chart y ~ R w, w = (u, v, 1),
+    with G(w) = R^T g(R w), y || g(y) reads E1 = G1 - u G3 = 0 (degree m in v)
+    and E2 = G2 - v G3 = 0 (degree m + 1, with the constant top coefficient
+    -G3(0, 1, 0)).  Their coefficients in v come by FFT from m + 2 values on
+    |v| = max(1, |u|).  Their (2m + 1)-square Sylvester determinant is a
+    polynomial in u whose roots are the u of the solutions, so its degree is
+    their number, count_bound(m + 1, 3) = m^2 + m + 1; it comes from one
+    stacked `det` at 2 (m + 1)^2 points of |u| = _CHART_RADIUS and one FFT,
+    and its higher coefficients, rounding only, are dropped.
+
+    Each real u root (``realness``, as in `_real_eigs`) gives every real
+    root v of E2(u, .) at which |E1| is at most ``small`` against the terms
+    of E2, two classes can share a u, and the v with the smallest |E1| in
+    any case, since a root far out in u is coarse.  Roots of a crowd, within
+    _CROWD of each other, are coarse too: they enter when nearly real, with
+    every nearly real v.  The points are candidates for a polish and a
+    gate; m only sets the array sizes.
+    """
+    rot = _CHART_ROTATION
+    nv, nu = m + 2, 2 * (m + 1) ** 2
+
+    unit = np.exp(2j * np.pi * np.arange(nv) / nv)
+
+    def in_v(u, r):     # coefficients in z = v / r, ascending: E1 (k, m + 1) and E2 (k, m + 2) at each u
+        w = np.ones((3, u.size, nv), dtype=complex)
+        w[0], w[1] = u[:, None], r[:, None] * unit
+        big = (rot.T @ g(rot @ w.reshape(3, -1))).reshape(w.shape)
+        e1 = np.fft.fft(big[0] - w[0] * big[2], axis=1)[:, :m + 1] / nv
+        return e1, np.fft.fft(big[1] - w[1] * big[2], axis=1) / nv
+
+    u = _CHART_RADIUS * np.exp(2j * np.pi * np.arange(nu) / nu)
+    e1, e2 = in_v(u, np.ones(nu))
+    syl = np.zeros((nu, 2 * m + 1, 2 * m + 1), dtype=complex)
+    band = np.arange(m + 1)[:, None] + np.arange(m + 1)
+    syl[:, np.arange(m + 1)[:, None], band] = e1[:, None]
+    syl[:, m + 1 + np.arange(m)[:, None], band[:m, :1] + np.arange(m + 2)] = e2[:, None]
+    res = np.fft.fft(np.linalg.det(syl)).real / nu / _CHART_RADIUS ** np.arange(nu)
+    lo, roots, real = _real_eigs(res[None, :m * m + m + 2], realness, trim=1e-15)
+    roots, real = roots[0], real[0]
+    near = np.abs(roots.imag) <= _CROWD * (1.0 + np.abs(roots.real))
+    gap = np.abs(roots[:, None] - roots) + np.diag(np.full(roots.size, np.inf))
+    crowd = near & (gap[:, near] <= _CROWD * (1.0 + np.abs(roots[:, None]))).any(axis=1)
+    take = real | crowd
+    u = np.concatenate((np.zeros(min(lo[0], 1)), roots[take].real))
+    crowd = np.concatenate((np.zeros(min(lo[0], 1), dtype=bool), crowd[take]))
+    r = np.maximum(1.0, np.abs(u))          # v grows with u near the chart's horizon w3 = 0
+    e1, e2 = (c.real for c in in_v(u.astype(complex), r))
+    lo, roots, real = _real_eigs(e2, realness)
+    real |= crowd[:, None] & (np.abs(roots.imag) <= _CROWD * (1.0 + np.abs(roots.real)))
+    z = np.column_stack((np.where(lo > 0, 0.0, np.nan), np.where(real, roots.real, np.nan)))
+    with np.errstate(divide="ignore", invalid="ignore"):     # each row's polynomials at its z
+        miss = np.abs(_polyval_rows(e1, z.T).T) / _polyval_rows(np.abs(e2), np.maximum(1.0, np.abs(z)).T).T
+    miss[np.isnan(z)] = np.inf
+    keep = np.isfinite(miss) & ((miss <= small) | (miss == miss.min(axis=1, keepdims=True)) | crowd[:, None])
+    rows, col = np.nonzero(keep)
+    w = np.stack((u[rows], r[rows] * z[rows, col], np.ones(rows.size)))
+    return (rot @ w).T
+
+
+def _piezo_parts(a: np.ndarray, y: np.ndarray):
+    """(A_i y)_j of shape (3, 3, n) and A : yy of shape (3, n) at the columns of y (3, n)."""
+    ay = (a.reshape(9, 3) @ y).reshape(3, 3, -1)
+    return ay, (ay * y).sum(1)
+
+
+def _piezo_gradient(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """grad q / 4 = (A : yy) . A y of q(y) = |A : yy|^2 at the columns of y (3, n)."""
+    ay, c = _piezo_parts(a, y)
+    return (c[:, None] * ay).sum(0)
+
+
+def _polish_q(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bordered Newton on (grad q / 4 - mu y, (|y|^2 - 1) / 2) for q(y) = |A : yy|^2, over rows y (n, 3).
+
+    grad q / 4 is (A : yy) . A y, with Jacobian M(c) + 2 sum_i (A_i y)(A_i y)^T at c = A : yy,
+    M(c) = sum_i c_i A_i.  At most 16 steps; a row leaves once its step is below 1e-15, and a
+    row with an exactly singular Jacobian stays where it is.  Returns the unit rows.
+    """
+    y = y.T / np.sqrt((y * y).sum(1))
+    ay, c = _piezo_parts(a, y)
+    mu = (c * c).sum(0)
+    run = np.arange(y.shape[1])
+    jac = np.zeros((y.shape[1], 4, 4))
+    for _ in range(16):
+        yr, ayr, cr, mr = y[:, run], ay[..., run], c[:, run], mu[run]
+        f = np.concatenate(((cr[:, None] * ayr).sum(0) - mr * yr,
+                            0.5 * ((yr * yr).sum(0, keepdims=True) - 1.0)))
+        jr = jac[:run.size]
+        t = ayr.transpose(2, 0, 1)                      # (A_i y)_j per row
+        jr[:, :3, :3] = (cr.T @ a.reshape(3, 9)).reshape(-1, 3, 3) + 2.0 * (t.transpose(0, 2, 1) @ t)
+        jr[:, [0, 1, 2], [0, 1, 2]] -= mr[:, None]
+        jr[:, :3, 3], jr[:, 3, :3] = -yr.T, yr.T
+        try:
+            step = np.linalg.solve(jr, f.T[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            go = np.linalg.det(jr) != 0.0
+            run, step = run[go], np.linalg.solve(jr[go], f.T[go, :, None])[..., 0]
+        y[:, run] -= step[:, :3].T
+        mu[run] -= step[:, 3]
+        ay[..., run], c[:, run] = _piezo_parts(a, y[:, run])
+        run = run[np.abs(step).max(1) > 1e-15]
+        if run.size == 0:
+            break
+    return (y / np.sqrt((y * y).sum(0))).T
+
+
+def _ceigen_candidates(s: np.ndarray) -> np.ndarray:
+    """Candidate y (k, 3) for the triples of a piezo tensor s with max |s| in [1/2, 1).
+
+    A 3x9 unfolding of rank one, A = x (x) Q, gives A : yy = (y.Qy) x, which
+    vanishes on a conic, and the chart determinant identically: the triples
+    are Q's eigenpairs.  Within _NEAR of rank one Q's eigenvectors seed the
+    top classes next to the chart's points.  A null vector n of the 9x3
+    unfolding, A n = 0, as in a two-term orthogonal tensor, is a base point
+    A : nn = 0 of multiplicity nine among the chart's roots, which scatters
+    the u roots next to it off the real axis: within _NEAR of one the chart
+    takes every root within 0.1 of real and every v it gives.
+    """
+    _, sv, vt = np.linalg.svd(s.reshape(3, 9))
+    q_vectors = np.linalg.eigh(vt[0].reshape(3, 3))[1].T
+    if sv[1] <= _RANK_ONE * sv[0]:
+        return q_vectors
+    sn = np.linalg.svd(s.reshape(9, 3), compute_uv=False)
+    y = _chart_points(lambda w: _piezo_gradient(s, w), 3, *((0.1, 1.0) if sn[2] <= _NEAR * sn[0] else ()))
+    return np.concatenate((q_vectors, y)) if sv[1] <= _NEAR * sv[0] else y
+
+
+def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
+    """Every stationary triple of x . A[y (x) y] with lam > 0, from one chart solve.
+
+    For lam > 0, (lam, x, y) is a triple exactly when y is a critical point
+    of q(y) = |A : yy|^2 on the unit sphere, with lam = |A : yy| and
+    x = A : yy / lam.  The candidates y are the `_chart_points` of the
+    degree-3 map (A : yy) . A y, which is grad q / 4, or a closed form on a
+    rank-one tensor (`_ceigen_candidates`).  Every candidate gets one
+    `_polish_q` on s, the tensor scaled by a power of two to max |s| in
+    [1/2, 1).  Rows are dropped whose residual
+    max(|A : yy - lam x|, |x . A y - lam y|) on s exceeds 1e-8 max(1, |s|),
+    or whose lam is at most _CEIGEN_GATE |s|: x = A : yy / lam carries the
+    rounding of A : yy, about 1e-16 |s|, and next to a base point, where
+    A : yy = 0, lam goes to 0.  The rest are deduplicated up to the sign of
+    y.  Returns the triples by descending lam, at most count_bound(4, 3) = 13
+    for a tensor with finitely many.
+
+    ``starts`` is accepted and validated for compatibility but unused.
     """
     a = as_array(t)
     _check_piezo(a)
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    norm_a = float(np.sqrt(np.einsum("ijk,ijk->", a, a))) or 1.0
-    y = _optim.fibonacci_sphere(starts).copy()
-    x = np.full_like(y, np.nan)          # no x until A : y (x) y is nonzero once
-    run = np.arange(starts)
-    for _ in range(500):
-        c = np.einsum("ijk,nj,nk->ni", a, y[run], y[run])
-        nc = np.linalg.norm(c, axis=1)
-        live = nc >= 1e-14 * norm_a
-        run, xn = run[live], c[live] / nc[live, None]
-        step = np.max(np.abs(xn - x[run]), axis=1)
-        x[run] = xn
-        y[run] = np.linalg.eigh(np.einsum("ni,ijk->njk", xn, a))[1][:, :, -1]
-        run = run[~(step <= 1e-9)]       # NaN on a start's first sweep keeps it running
-        if run.size == 0:
-            break
-    lam = np.einsum("ijk,ni,nj,nk->n", a, x, y, y)
-    x[lam < 0.0] *= -1.0
-    lam = np.abs(lam)
-    r1 = np.abs(np.einsum("ijk,nj,nk->ni", a, y, y) - lam[:, None] * x)
-    r2 = np.abs(np.einsum("ni,ijk,nj->nk", x, a, y) - lam[:, None] * y)
-    ok = np.maximum(r1, r2).max(axis=1) <= 1e-8 * max(1.0, norm_a)     # False for NaN
-    lam, x, y = lam[ok], x[ok], y[ok]
-    near = lambda u, v: np.linalg.norm(u[:, None] - v, axis=-1) < 1e-6
-    same = ((np.abs(lam[:, None] - lam) <= 1e-9 * (1.0 + lam[:, None])) & near(x, x)
-            & (near(y, y) | near(y, -y)))
-    first = np.flatnonzero(~np.tril(same, -1).any(axis=1))    # no earlier start found it
-    first = first[np.argsort(-lam[first], kind="stable")]
-    return [CEigenTriple(lam=float(lam[i]), x=x[i], y=y[i]) for i in first]
+    peak = np.max(np.abs(a))
+    if peak == 0.0:
+        return []
+    e = np.frexp(peak)[1]
+    s = np.ldexp(a, -e)
+    norm_s = float(np.sqrt(np.einsum("ijk,ijk->", s, s)))
+    y = _polish_q(s, _ceigen_candidates(s))
+    ay, c = _piezo_parts(s, y.T)
+    lam = np.sqrt((c * c).sum(0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = c / lam
+        res = np.abs((x[:, None] * ay).sum(0) - lam * y.T).max(0)    # A : yy = lam x by construction
+    ok = (res <= 1e-8 * max(1.0, norm_s)) & (lam > _CEIGEN_GATE * norm_s)
+    lam, x, y = lam[ok], x[:, ok].T, y[ok]
+    order = np.argsort(-lam, kind="stable")
+    lam, x, y = lam[order], x[order], y[order]
+    y[_optim.canonical_flip(y)] *= -1.0
+    keep, _ = _optim.dedupe_rows(np.zeros(lam.size, dtype=int), y, lam / norm_s,
+                                 np.ones(lam.size, dtype=int), tol=1e-6)
+    return [CEigenTriple(lam=float(np.ldexp(l, e)), x=xi, y=yi)
+            for l, xi, yi in zip(lam[keep], x[keep], y[keep])]
 
 
 def best_rank_one(t, starts: int = 64) -> tuple[float, np.ndarray, np.ndarray]:

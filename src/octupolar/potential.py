@@ -109,11 +109,16 @@ def from_rho_chi_K(p: OrientedParams) -> OctupolarTensor:
         beta3=0.5 * (p.rho * np.sin(p.chi) - 1.0))
 
 
+def _param_rows(params) -> np.ndarray:
+    """(N, 3) rows (rho, chi, K) of a sequence of OrientedParams; an (N, 3) array is returned as is."""
+    if isinstance(params, np.ndarray):
+        return params
+    return np.array([p.as_tuple() for p in params], dtype=float).reshape(-1, 3)
+
+
 def oriented_arrays(params) -> np.ndarray:
-    """Component arrays (N, 3, 3, 3) of the oriented tensors of a parameter sequence."""
-    rho = np.array([p.rho for p in params], dtype=float)
-    chi = np.array([p.chi for p in params], dtype=float)
-    k = np.array([p.bigk for p in params], dtype=float)
+    """Component arrays (N, 3, 3, 3) of the oriented tensors of a parameter sequence or `_param_rows`."""
+    rho, chi, k = np.array(_param_rows(params).T)     # contiguous columns, as numpy's SIMD paths take them
     beta3 = 0.5 * (rho * np.sin(chi) - 1.0)
     zero = np.zeros_like(k)
     # alpha0..alpha3, beta1..beta3, gamma1..gamma3 of from_rho_chi_K
