@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 
 import numpy as np
 
 _GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
+
+
+def _debug(msg: str, *args) -> None:
+    """Log msg % args at DEBUG on the "octupolar" logger.
+
+    Only a program that has imported `logging` can have set the DEBUG level
+    that lets the record through, so without it there is nothing to emit;
+    importing it here would add 4-6 ms to the first oracle call.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("octupolar").debug(msg, *args)
 
 
 @cache
@@ -327,27 +340,53 @@ def merge_degenerate(a: np.ndarray, points):
     return out
 
 
-def _first_of_each(keys: np.ndarray) -> np.ndarray:
-    """Index of the first row with each distinct key row, in sorted key order."""
-    order = np.lexsort(keys.T[::-1])
+def _first_of_each(keys: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
+    """Index of the first row with each distinct key row, in sorted key order.
+
+    First means of lowest ``rank``, when given, and then of lowest position.
+    """
+    order = np.lexsort(keys.T[::-1] if rank is None else (rank, *keys.T[::-1]))
     k = keys[order]
     new = np.ones(len(k), dtype=bool)
     new[1:] = (k[1:] != k[:-1]).any(axis=1)
     return order[new]
 
 
-def _first_rows(x: np.ndarray, lam: np.ndarray, cell: float = 2e-7):
-    """The lowest-index row (x, lam) of each key round(x / cell), in sorted key order."""
-    first = _first_of_each(np.round(x / cell).astype(np.int64))
-    return x[first], lam[first]
+def _first_rows(x: np.ndarray, lam: np.ndarray, index: np.ndarray, cell: float = 2e-7):
+    """The row (x, lam, index) of lowest index of each key round(x / cell), in sorted key order."""
+    first = _first_of_each(np.round(x / cell).astype(np.int64), index)
+    return x[first], lam[first], index[first]
 
 
-def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, step: np.ndarray):
+def _seeds(samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense search's seeds (3, samples) in visiting order, and their lattice indices.
+
+    With n = ceil(samples / _SLICE), the `fibonacci_sphere(samples)` points
+    are visited in residue order: every lattice index = 0 (mod n), then every
+    index = 1, and so on.  The lattice runs from pole to pole, so each
+    _SLICE-row chunk of this order spans the whole sphere; samples <= _SLICE
+    keeps the lattice order.
+
+    The seeds are one private component-major copy, sliced by view.  Its
+    free at the end of each call raises glibc's mmap threshold above the
+    Newton temporaries; reading the cached array instead page-faulted many
+    times more per call (ROADMAP item 6, malloc dependence).  The indices
+    are int32.
+    """
+    n = -(-samples // _SLICE)
+    lattice = fibonacci_sphere(samples).T
+    seeds = np.concatenate([lattice[:, r::n] for r in range(n)], axis=1, out=np.empty((3, samples)))
+    return seeds, np.concatenate([np.arange(r, samples, n, dtype=np.int32) for r in range(n)])
+
+
+def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, index: np.ndarray, samples: int):
     """The dense search on one slice of seeds x (3, n): its critical rows, one per 2e-7 key.
 
-    Each kept row is canonically flipped and is the slice's lowest-index row
-    of its key (`np.lexsort` is stable).
+    A seed ascends (step 0.1) when its lattice index is below samples // 2,
+    otherwise it descends (-0.1).  Each kept row (x, lam, index) is
+    canonically flipped and is the slice's row of lowest lattice index of its key.
     """
+    step = np.where(index < samples // 2, 0.1, -0.1)
     for _ in range(_PRESTEPS):
         x = x + step * surface_gradient(a, x)
         x /= np.sqrt((x * x).sum(0))
@@ -357,7 +396,7 @@ def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, step: np.ndarr
     flip = canonical_flip(x)
     x[flip] *= -1.0
     lam[flip] *= -1.0
-    return _first_rows(x, lam)
+    return _first_rows(x, lam, index[ok])
 
 
 def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
@@ -369,7 +408,7 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     """
     continuum = x.shape[0] > 64
     if continuum:
-        x, lam = _first_rows(x, lam, 1e-2)
+        x, lam, _ = _first_rows(x, lam, np.arange(x.shape[0]), 1e-2)
     points = dedupe_classes([(xi, li, (None, 1)) for xi, li in zip(x, lam)], tol=1e-6)
     if not continuum:
         points = merge_degenerate(a, points)
@@ -468,8 +507,11 @@ def find_critical_classes(a: np.ndarray, samples: int):
     Seeds a Fibonacci grid (the first half ascends, the second descends),
     runs a few projected-gradient steps, then batched Newton, and keeps the
     points with residual at most _CRITICAL_TOL.  The seeds go through this
-    in slices of _SLICE rows, each reduced to one row per 2e-7 key; the
-    survivors of all slices so far keep the lowest-index row of each key.
+    in slices of _SLICE rows, in the residue order of `_seeds`, so that
+    every slice spans the sphere; each slice is reduced to one row per 2e-7
+    key, and the survivors of all slices so far keep the row of lowest
+    lattice index of each key.  A row depends only on its own seed, so a
+    search over all slices keeps the rows that the lattice order would.
     The search runs on the tensor scaled by a power of two to max |a| in
     [1/2, 1), so its absolute tolerances are relative ones, and lam is
     scaled back.  Returns (classes, continuum) where each class is (x, lam)
@@ -480,38 +522,50 @@ def find_critical_classes(a: np.ndarray, samples: int):
     The search stops before the remaining slices once the classes are
     complete (`_complete`, which argues why this is sound): no continuum,
     and count_bound(3, 3) = 7 simple classes, real or verified non-real.
-    The classes are re-derived only after a slice that added a key, and the
-    non-real search runs at most once per call, only when a slice remains
-    to be skipped.  A continuum that slips under the 64-key rule shows up as
-    scattered points of it, which are degenerate and never stop the search.
+    The classes are re-derived only after a slice that added a key and
+    leaves a slice to be skipped, and once more after the last slice; the
+    non-real search runs at most once per call.  A continuum that slips
+    under the 64-key rule shows up as scattered points of it, which are
+    degenerate and never stop the search.
+
+    Each call logs one DEBUG line on the "octupolar" logger: the slices run
+    out of the total, the keys, whether the class bound stopped the search,
+    and the real and verified non-real class counts.
     """
+    slices = -(-samples // _SLICE)
     peak = np.max(np.abs(a))
     if peak == 0.0:
+        _debug("find_critical_classes: the zero tensor, a continuum; 0 of %d slices", slices)
         return [], True
     e = np.frexp(peak)[1]
     a = np.ldexp(a, -e)
     b, _ = _coefficients(a)
-    # one private component-major copy of the shared seeds, sliced by view.  Freeing it each call
-    # keeps glibc's mmap threshold above the Newton temporaries: slicing the cached array instead
-    # page-faults about 20x more per call
-    seeds = fibonacci_sphere(samples).T.copy()
-    step = np.where(np.arange(samples) < samples // 2, 0.1, -0.1)
-    x, lam = np.empty((0, 3)), np.empty(0)
-    points, continuum, keys = [], False, 0
+    seeds, order = _seeds(samples)
+    rows = np.empty((0, 3)), np.empty(0), order[:0]        # x, lam and lattice index
+    keys, stopped = 0, False
     nonreal = cache(lambda: len(_nonreal_classes(a)[0]))
     for lo in range(0, samples, _SLICE):
-        xs, ls = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], step[lo:lo + _SLICE])
-        x, lam = np.concatenate((x, xs)), np.concatenate((lam, ls))
+        new = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], order[lo:lo + _SLICE], samples)
+        rows = tuple(np.concatenate(pair) for pair in zip(rows, new))
         if keys > 64:
             continue        # a continuum for good: its rows are reduced once, after the last slice
-        x, lam = _first_rows(x, lam)
+        rows = _first_rows(*rows)
+        x, lam, _ = rows
         grew, keys = x.shape[0] > keys, x.shape[0]
-        if grew and keys <= 64:     # below the continuum rule
+        if grew and keys <= 64 and lo + _SLICE < samples:     # below the continuum rule
             points, continuum = _classes(a, x, lam)
-            if lo + _SLICE < samples and _complete(a, points, nonreal):
+            stopped = _complete(a, points, nonreal)
+            if stopped:
                 break
-    if keys > 64:
-        points, continuum = _classes(a, *_first_rows(x, lam))
+    if not stopped:         # a later slice may have lowered the index of a key's row
+        x, lam, _ = _first_rows(*rows)
+        keys = x.shape[0]
+        points, continuum = _classes(a, x, lam)
+    _debug("find_critical_classes: %d of %d slices, %d keys, stopped at the class bound: %s, "
+           "%d real classes, verified non-real classes: %s%s", lo // _SLICE + 1, slices,
+           keys, stopped, len(points),
+           nonreal() if nonreal.cache_info().currsize else "not searched",
+           ", a continuum" if continuum else "")
     if not points:
         return [], continuum
     xs = np.array([xi for xi, _, _ in points])

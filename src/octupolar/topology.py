@@ -10,6 +10,7 @@ the Euler characteristic of the sphere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,12 @@ def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
 
     The tensor must be fully symmetric to 1e-10 max |a|; pass
     ``tensors.symmetrize(a)`` for the cubic form of any other tensor.
+    ``samples`` must be an integer (``np.int64`` included) of at least 1000.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise TypeError(f"samples must be an integer, not {type(samples).__name__}") from None
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     a = _symmetric_array(t)

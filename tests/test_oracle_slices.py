@@ -1,8 +1,10 @@
 """The sliced dense search in `_optim.find_critical_classes`.
 
-The oracle seeds, polishes and filters _SLICE seeds at a time.  These tests
-hold it to the whole-array pipeline it replaced (kept below as the
-reference), to the tensor's scale, and to a memory bound.
+The oracle seeds, polishes and filters _SLICE seeds at a time, visiting the
+lattice in residue order so that each slice spans the sphere; each key keeps
+its row of lowest lattice index, the row the whole-array pipeline keeps.
+These tests hold it to that pipeline (kept below as the reference), to the
+tensor's scale, and to a memory bound.
 """
 
 import time
