@@ -415,14 +415,51 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
     return points, continuum
 
 
-def _bordered_complex(b: np.ndarray, c: np.ndarray, x: np.ndarray, lam: np.ndarray):
-    """Residual (A x^2 - lam x, (x^T x - 1)/2), shape (n, 4), and Jacobian (n, 4, 4) of complex rows."""
-    f = np.concatenate((_axx(b, x.T).T - lam[:, None] * x,
-                        0.5 * ((x * x).sum(1, keepdims=True) - 1.0)), axis=1)
-    jac = np.zeros((len(x), 4, 4), dtype=complex)
-    jac[:, :3, :3] = 2.0 * _ax(c, x.T)[_JK].transpose(2, 0, 1) - lam[:, None, None] * np.eye(3)
-    jac[:, :3, 3], jac[:, 3, :3] = -x, x
+def cubic_map(b: np.ndarray, c: np.ndarray):
+    """The map y -> A y^2 of a symmetric cubic, and its Jacobian y -> 2 A y as rows (n, 3, 3)."""
+    return (lambda y: _axx(b, y)), (lambda y: 2.0 * _ax(c, y)[_JK].transpose(2, 0, 1))
+
+
+def _bordered_system(gmap, y: np.ndarray, mu: np.ndarray):
+    """Residual (g(y) - mu y, (y^T y - 1)/2), shape (n, 4), and Jacobian (n, 4, 4) at the columns of y."""
+    g, dg = gmap
+    f = np.concatenate((g(y) - mu * y, 0.5 * ((y * y).sum(0, keepdims=True) - 1.0))).T
+    jac = np.zeros((y.shape[1], 4, 4), dtype=f.dtype)
+    jac[:, :3, :3] = dg(y)
+    jac[:, [0, 1, 2], [0, 1, 2]] -= mu[:, None]
+    jac[:, :3, 3], jac[:, 3, :3] = -y.T, y.T
     return f, jac
+
+
+def _bordered_newton(gmap, y: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped Newton on (g(y) - mu y, (y^T y - 1)/2) from the rows y (n, 3), real or complex.
+
+    ``gmap`` is a pair of functions of columns y (3, n): g, to (3, n), and
+    its Jacobian, to rows (n, 3, 3), e.g. `cubic_map`.  Each row starts at
+    y / sqrt(y^T y) with mu = y^T g(y), and stops once its residual or its
+    step is at most 1e-15 (max norm), or when its Jacobian is non-finite or
+    exactly singular; at most ``iters`` steps.  Returns (y (n, 3), mu (n,))
+    where each row stopped, y scaled to y^T y = 1.
+    """
+    y = y.T / np.sqrt((y * y).sum(1))
+    mu = (y * gmap[0](y)).sum(0)
+    run = np.arange(mu.size)
+    with np.errstate(all="ignore"):         # a diverging row stops at its non-finite Jacobian
+        for _ in range(iters):
+            f, jac = _bordered_system(gmap, y[:, run], mu[run])
+            go = np.isfinite(jac).all(axis=(1, 2)) & (np.abs(f).max(1) > 1e-15)
+            run, f, jac = run[go], f[go], jac[go]
+            if run.size == 0:
+                break
+            try:
+                step = np.linalg.solve(jac, f[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                go = np.linalg.det(jac) != 0.0
+                run, step = run[go], np.linalg.solve(jac[go], f[go, :, None])[..., 0]
+            y[:, run] -= step[:, :3].T
+            mu[run] -= step[:, 3]
+            run = run[np.abs(step).max(1) > 1e-15]
+        return (y / np.sqrt((y * y).sum(0))).T, mu
 
 
 def _nonreal_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,26 +478,11 @@ def _nonreal_classes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (x (m, 3), lam (m,)), both complex, scaled back.
     """
     e = np.frexp(np.max(np.abs(a)))[1]
-    b, c = _coefficients(np.ldexp(a, -e))
+    cubic = cubic_map(*_coefficients(np.ldexp(a, -e)))
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
-    x /= np.sqrt((x * x).sum(1))[:, None]
-    lam = _value(b, x.T)
-    live = np.arange(len(x))
+    x, lam = _bordered_newton(cubic, rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3)), 60)
     with np.errstate(all="ignore"):
-        for _ in range(60):
-            f, jac = _bordered_complex(b, c, x[live], lam[live])
-            go = np.isfinite(jac).all(axis=(1, 2)) & (np.abs(f).max(1) > 1e-15)
-            live, f, jac = live[go], f[go], jac[go]
-            if live.size == 0:
-                break
-            try:
-                step = np.linalg.solve(jac, f[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                break                       # an exactly singular Jacobian: stop where the seeds are
-            x[live] -= step[:, :3]
-            lam[live] -= step[:, 3]
-        f, jac = _bordered_complex(b, c, x, lam)
+        f, jac = _bordered_system(cubic, x.T, lam)
         ok = np.isfinite(jac).all(axis=(1, 2))
         x, lam, f, jac = x[ok], lam[ok], f[ok], jac[ok]
         sv = np.linalg.svd(jac, compute_uv=False)

@@ -787,45 +787,20 @@ def _piezo_parts(a: np.ndarray, y: np.ndarray):
     return ay, (ay * y).sum(1)
 
 
-def _piezo_gradient(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """grad q / 4 = (A : yy) . A y of q(y) = |A : yy|^2 at the columns of y (3, n)."""
-    ay, c = _piezo_parts(a, y)
-    return (c[:, None] * ay).sum(0)
+def _piezo_map(a: np.ndarray):
+    """The map y -> grad q / 4 = (A : yy) . A y of q(y) = |A : yy|^2, and its Jacobian.
 
-
-def _polish_q(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bordered Newton on (grad q / 4 - mu y, (|y|^2 - 1) / 2) for q(y) = |A : yy|^2, over rows y (n, 3).
-
-    grad q / 4 is (A : yy) . A y, with Jacobian M(c) + 2 sum_i (A_i y)(A_i y)^T at c = A : yy,
-    M(c) = sum_i c_i A_i.  At most 16 steps; a row leaves once its step is below 1e-15, and a
-    row with an exactly singular Jacobian stays where it is.  Returns the unit rows.
+    The Jacobian at c = A : yy is M(c) + 2 sum_i (A_i y)(A_i y)^T, M(c) = sum_i c_i A_i.
     """
-    y = y.T / np.sqrt((y * y).sum(1))
-    ay, c = _piezo_parts(a, y)
-    mu = (c * c).sum(0)
-    run = np.arange(y.shape[1])
-    jac = np.zeros((y.shape[1], 4, 4))
-    for _ in range(16):
-        yr, ayr, cr, mr = y[:, run], ay[..., run], c[:, run], mu[run]
-        f = np.concatenate(((cr[:, None] * ayr).sum(0) - mr * yr,
-                            0.5 * ((yr * yr).sum(0, keepdims=True) - 1.0)))
-        jr = jac[:run.size]
-        t = ayr.transpose(2, 0, 1)                      # (A_i y)_j per row
-        jr[:, :3, :3] = (cr.T @ a.reshape(3, 9)).reshape(-1, 3, 3) + 2.0 * (t.transpose(0, 2, 1) @ t)
-        jr[:, [0, 1, 2], [0, 1, 2]] -= mr[:, None]
-        jr[:, :3, 3], jr[:, 3, :3] = -yr.T, yr.T
-        try:
-            step = np.linalg.solve(jr, f.T[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            go = np.linalg.det(jr) != 0.0
-            run, step = run[go], np.linalg.solve(jr[go], f.T[go, :, None])[..., 0]
-        y[:, run] -= step[:, :3].T
-        mu[run] -= step[:, 3]
-        ay[..., run], c[:, run] = _piezo_parts(a, y[:, run])
-        run = run[np.abs(step).max(1) > 1e-15]
-        if run.size == 0:
-            break
-    return (y / np.sqrt((y * y).sum(0))).T
+    def g(y):
+        ay, c = _piezo_parts(a, y)
+        return (c[:, None] * ay).sum(0)
+
+    def dg(y):
+        ay, c = _piezo_parts(a, y)
+        t = ay.transpose(2, 0, 1)                       # (A_i y)_j per row
+        return (c.T @ a.reshape(3, 9)).reshape(-1, 3, 3) + 2.0 * (t.transpose(0, 2, 1) @ t)
+    return g, dg
 
 
 def _ceigen_candidates(s: np.ndarray) -> np.ndarray:
@@ -845,7 +820,7 @@ def _ceigen_candidates(s: np.ndarray) -> np.ndarray:
     if sv[1] <= _RANK_ONE * sv[0]:
         return q_vectors
     sn = np.linalg.svd(s.reshape(9, 3), compute_uv=False)
-    y = _chart_points(lambda w: _piezo_gradient(s, w), 3, *((0.1, 1.0) if sn[2] <= _NEAR * sn[0] else ()))
+    y = _chart_points(_piezo_map(s)[0], 3, *((0.1, 1.0) if sn[2] <= _NEAR * sn[0] else ()))
     return np.concatenate((q_vectors, y)) if sv[1] <= _NEAR * sv[0] else y
 
 
@@ -856,9 +831,9 @@ def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
     of q(y) = |A : yy|^2 on the unit sphere, with lam = |A : yy| and
     x = A : yy / lam.  The candidates y are the `_chart_points` of the
     degree-3 map (A : yy) . A y, which is grad q / 4, or a closed form on a
-    rank-one tensor (`_ceigen_candidates`).  Every candidate gets one
-    `_polish_q` on s, the tensor scaled by a power of two to max |s| in
-    [1/2, 1).  Rows are dropped whose residual
+    rank-one tensor (`_ceigen_candidates`).  Every candidate gets at most
+    16 bordered Newton steps on the `_piezo_map` of s, the tensor scaled by
+    a power of two to max |s| in [1/2, 1).  Rows are dropped whose residual
     max(|A : yy - lam x|, |x . A y - lam y|) on s exceeds 1e-8 max(1, |s|),
     or whose lam is at most _CEIGEN_GATE |s|: x = A : yy / lam carries the
     rounding of A : yy, about 1e-16 |s|, and next to a base point, where
@@ -878,7 +853,7 @@ def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
     e = np.frexp(peak)[1]
     s = np.ldexp(a, -e)
     norm_s = float(np.sqrt(np.einsum("ijk,ijk->", s, s)))
-    y = _polish_q(s, _ceigen_candidates(s))
+    y = _optim._bordered_newton(_piezo_map(s), _ceigen_candidates(s), 16)[0]
     ay, c = _piezo_parts(s, y.T)
     lam = np.sqrt((c * c).sum(0))
     with np.errstate(divide="ignore", invalid="ignore"):

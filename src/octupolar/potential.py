@@ -301,43 +301,41 @@ def orient(t) -> Orientation:
     """Rotate a global maximum of the potential to the north pole.
 
     Scales the tensor so the pole value is exactly +1, zeroes the potential
-    at (1, 0, 0), and reduces the parameters to the canonical sector.  An
-    ascent from the best of a few fixed seeds reaches a local maximum;
-    orienting there lets `solve_oriented` list every critical class exactly,
-    and the classes at the largest value are oriented in turn.  When several
-    global maxima tie, the candidate with lexicographically smallest
-    (rho, chi, K) wins.  A tensor on the disk K = 0 orients to chi = -pi/2
-    with no mirror, one result for all its rotations and mirror images.
-    The degenerate axisymmetric class (rho = K = 0 after reduction) is
-    flagged, not rejected.
+    at (1, 0, 0), and reduces the parameters to the canonical sector.  The
+    critical points come from one chart solve of the tensor's own cubic form
+    (`eigen._chart_points` of x -> A x^2), on the tensor scaled by a power of
+    two to max |a| in [1/2, 1), plus the three eigenvectors of A_ikl A_jkl:
+    they hold the axis of an axisymmetric tensor, whose circles of critical
+    points hide its poles from the chart.  Each point is polished by at most
+    50 bordered Newton steps, signed to a value of at least 0 and kept at
+    residual at most 1e-9; the classes within 1e-9 (relative) of the
+    largest value are oriented in turn.  When several global maxima tie,
+    the candidate with lexicographically smallest (rho, chi, K) wins.  A
+    tensor on the disk K = 0 orients to chi = -pi/2 with no mirror, one
+    result for all its rotations and mirror images.  The degenerate
+    axisymmetric class (rho = K = 0 after reduction) is flagged, not
+    rejected.
     """
-    from .eigen import solve_oriented   # eigen imports this module
+    from .eigen import _chart_points   # eigen imports this module
     a = as_array(t)
-    scale0 = float(np.max(np.abs(a)))
-    if scale0 < 1e-300:
+    peak = float(np.max(np.abs(a)))
+    if peak < 1e-300:
         raise ValueError("cannot orient the zero tensor")
     OctupolarTensor.from_array(a)  # validates symmetry and tracelessness
-    seeds = _optim.fibonacci_sphere(64)
-    values = eval_potential(a, seeds)
-    x = seeds[np.argmax(values)][:, None]
-    step = 0.1 / values.max()   # relative to the best seed value: the tensor's scale drops out
-    for _ in range(20):
-        x = x + step * _optim.surface_gradient(a, x)
-        x /= np.linalg.norm(x)
-    x, lam = _optim.newton_refine(a, x.T, eval_potential(a, x.T))
-    start = _orient_at(a, x[0], lam[0])
-    sol = solve_oriented(start.params)
-    lam = np.array([pr.lam for pr in sol.pairs])
-    top = np.abs(lam) >= np.abs(lam).max() * (1.0 - 1e-9)
-    # oriented-frame maxima back to the input frame, then polished there
-    x = np.sign(lam[top])[:, None] * np.array([pr.x for pr in sol.pairs])[top]
-    x = (x @ MIRROR if start.mirrored else x) @ start.rotation
-    x, lam = _optim.newton_refine(a, x, np.abs(lam[top]) / start.scale)
-    best = min((_orient_at(a, m, v) for m, v in zip(x, lam)),
+    e = np.frexp(peak)[1]
+    s = np.ldexp(a, -e)
+    b, c = _optim._coefficients(s)
+    cubic = _optim.cubic_map(b, c)
+    seeds = np.concatenate((_chart_points(cubic[0], 2), np.linalg.eigh(np.einsum("ikl,jkl->ij", s, s))[1].T))
+    x = _optim._bordered_newton(cubic, seeds, 50)[0]
+    x *= np.where(_optim._value(b, x.T) < 0.0, -1.0, 1.0)[:, None]   # not np.sign: keep value-0 points
+    lam = _optim._value(b, x.T)
+    top = _optim._residual(b, x.T, lam) <= 1e-9
+    top &= lam >= lam[top].max() * (1.0 - 1e-9)
+    best = min((_orient_at(a, m, v) for m, v in zip(x[top], np.ldexp(lam[top], e))),
                key=lambda o: (round(o.params.rho, 9), round(o.params.chi, 9),
                               round(o.params.bigk, 9), o.mirrored))
-    continuum = sol.continuum or bool(best.params.rho <= 1e-8 and best.params.bigk <= 1e-8)
-    return replace(best, continuum=continuum)
+    return replace(best, continuum=bool(best.params.rho <= 1e-8 and best.params.bigk <= 1e-8))
 
 
 @dataclass(frozen=True)

@@ -177,17 +177,17 @@ def _bisect_transition(table: np.ndarray):
 def _solve_2x2(jac: np.ndarray, rhs: np.ndarray):
     """Stacked 2x2 solves: steps (m, 2) and which systems are singular.
 
-    np.linalg.solve rejects a whole stack for one singular system, so a
-    rejected stack is halved until each singular system fails alone.
+    np.linalg.solve rejects a whole stack for one singular system.  Then the
+    systems of determinant exactly 0, which it rejects, get a zero step, and
+    the rest are solved in one more stacked call.
     """
     try:
         return np.linalg.solve(jac, rhs[..., None])[..., 0], np.zeros(len(jac), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(jac) == 1:
-            return np.zeros_like(rhs), np.ones(1, dtype=bool)
-        h = len(jac) // 2
-        (s1, f1), (s2, f2) = _solve_2x2(jac[:h], rhs[:h]), _solve_2x2(jac[h:], rhs[h:])
-        return np.concatenate([s1, s2]), np.concatenate([f1, f2])
+        singular = np.linalg.det(jac) == 0.0
+        step = np.zeros_like(rhs)
+        step[~singular] = np.linalg.solve(jac[~singular], rhs[~singular, :, None])[..., 0]
+        return step, singular
 
 
 def _refine(table: np.ndarray, s: np.ndarray, k2: np.ndarray):

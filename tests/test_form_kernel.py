@@ -3,17 +3,20 @@
 Every internal evaluation of a symmetric cubic form goes through the 10
 coefficients of `_optim._coefficients`: the value A x^3, the residual
 max |A x^2 - lam x|, the matrix A f_k in a frame, the tangent-Hessian
-eigenvalues and the complex bordered system.  Each is compared here with
-the einsum it replaced, for one tensor shared by all rows and for one
-tensor per row, on traceless and traceful symmetric tensors, at real and
-complex points.
+eigenvalues and the bordered system of its map x -> A x^2.  Each is
+compared here with the einsum it replaced, for one tensor shared by all
+rows and for one tensor per row, on traceless and traceful symmetric
+tensors, at real and complex points.  The Jacobian of the piezo map
+y -> (A : yy) . A y, the other map of the bordered Newton, is checked by
+central differences.
 """
 
 import numpy as np
 import pytest
 
-from octupolar._optim import (_bordered_complex, _coefficients, _frame, _in_frame, _residual,
-                              _value, tangent_basis, tangent_hessian)
+from octupolar._optim import (_bordered_system, _coefficients, _frame, _in_frame, _residual,
+                              _value, cubic_map, tangent_basis, tangent_hessian)
+from octupolar.eigen import _piezo_map
 from octupolar.tensors import detrace_symmetric, symmetrize
 
 ROWS = 40
@@ -133,8 +136,24 @@ def test_complex_bordered_system(kind):
         want_jac = np.zeros((ROWS, 4, 4), dtype=complex)
         want_jac[:, :3, :3] = 2.0 * m - lam[:, None, None] * np.eye(3)
         want_jac[:, :3, 3], want_jac[:, 3, :3] = -x, x
-        f, jac = _bordered_complex(b, c, x, lam)
+        f, jac = _bordered_system(cubic_map(b, c), x.T, lam)
         scale = (np.abs(rows).max(axis=(1, 2, 3)) * (np.abs(x) ** 2).sum(1)
                  + np.abs(lam)) * (1.0 + (np.abs(x) ** 2).sum(1))
         close(f, want_f, scale[:, None])
         close(jac, want_jac, scale[:, None, None])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_piezo_map_jacobian(field):
+    # central differences along each axis; the map is a polynomial, so they hold for complex y
+    rng = np.random.default_rng(16)
+    y, h = points(field, 17).T, 1e-5
+    for _ in range(5):
+        a = rng.normal(size=(3, 3, 3))
+        g, dg = _piezo_map(a + a.transpose(0, 2, 1))
+        jac = dg(y)
+        for k in range(3):
+            dy = np.zeros((3, 1))
+            dy[k] = h
+            want = (g(y + dy) - g(y - dy)) / (2.0 * h)
+            np.testing.assert_allclose(jac[:, :, k].T, want, rtol=0, atol=1e-7 * np.abs(jac).max())
