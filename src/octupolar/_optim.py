@@ -197,7 +197,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
 
 _DEGEN_REL = 1e-7        # relative size of a negligible tangent-Hessian eigenvalue
 _FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
-_MERGE_RADIUS = 2e-3     # merge_degenerate's cluster radius
+_MERGE_RADIUS = 1e-4     # merge_degenerate's cluster radius
 _CRITICAL_TOL = 1e-9     # residual of a critical point in the dense search
 _PRESTEPS = 3            # projected-gradient steps before the dense search's Newton
 _SLICE = 8192            # seeds per pass of the dense search; its Newton temporaries stay in cache
@@ -313,31 +313,50 @@ def dedupe_classes(points, tol: float = 1e-8):
 
 
 def merge_degenerate(a: np.ndarray, points):
-    """Merge clusters of near-critical scatter around degenerate points.
+    """Merge the converged rows that spread along the flat valley of a double root.
 
-    Two classes closer than _MERGE_RADIUS are merged only when the
-    normalized midpoint is itself critical to _CRITICAL_TOL, which
-    distinguishes the flat valley around a degenerate point from genuinely
-    distinct roots.
+    Newton converges only linearly to a degenerate point, so rows several
+    1e-6 apart pass the residual gate there, each a class to
+    `dedupe_classes`.  Two classes x and y closer than _MERGE_RADIUS, up to
+    x ~ -x, are told apart by the derivative g of the potential along their
+    chord, of unit direction u and length d.  If both are roots of g, the
+    cubic interpolant of g from the second derivatives e = u^T H u there
+    reads d (e_x - e_y) / 8 at the midpoint, which the tangential gradient
+    at the normalized midpoint then matches.  Near one double root, where
+    g ~ alpha (s - s0)^2, the midpoint reads alpha's sign and the two-root
+    value the other.  Two classes merge when the midpoint reads less than
+    half the two-root value.  Classes are visited by ascending smaller
+    tangent-Hessian eigenvalue magnitude, and each kept one absorbs the
+    later classes it merges with, so a cluster keeps the row nearest its
+    double root, which the winding number then classifies.
     """
-    b = _coefficients(a)[0]
+    x = np.array([p[0] for p in points]).reshape(-1, 3)
+    sign = np.where(np.abs(x[:, None] - x).max(2) <= np.abs(x[:, None] + x).max(2), 1.0, -1.0)
+    y = sign[..., None] * x             # y[i, j]: x_j on the side of x_i
+    dist = np.sqrt(((y - x[:, None]) ** 2).sum(2))
+    i, j = np.nonzero(np.triu(dist < _MERGE_RADIUS, 1))
+    if i.size == 0:
+        return points
+    b, c = _coefficients(a)
+    lam = np.array([p[1] for p in points])
+    d, xi, yj = dist[i, j], x[i].T, y[i, j].T
+    u, mid = (yj - xi) / d, xi + yj
+    mid /= np.sqrt((mid * mid).sum(0))
+    t = _axx(b, mid)
+    g = 3.0 * (u * (t - (mid * t).sum(0) * mid)).sum(0)     # the radial part cancels only to 1e-16 / d
 
-    def critical_between(x, lam, px, pl) -> bool:
-        for sgn in (1.0, -1.0):
-            if np.linalg.norm(sgn * x - px) < _MERGE_RADIUS and abs(sgn * lam - pl) < 1e-6:
-                mid = sgn * x + px
-                nrm = np.linalg.norm(mid)
-                if nrm >= 1e-12:
-                    mid = mid[:, None] / nrm
-                    if _residual(b, mid, _value(b, mid))[0] < _CRITICAL_TOL:
-                        return True
-        return False
+    def curvature(z, mu):
+        return 6.0 * np.einsum("ik,ijk,jk->k", u, _ax(c, z)[_JK], u) - 3.0 * mu
 
-    out = []
-    for x, lam, payload in points:
-        if not any(critical_between(x, lam, px, pl) for px, pl, _ in out):
-            out.append((x, lam, payload))
-    return out
+    two_roots = d * (curvature(xi, lam[i]) - curvature(yj, sign[i, j] * lam[j])) / 8.0
+    order = np.argsort(np.abs(tangent_hessian(c, x, lam)[0]).min(1), kind="stable")
+    merge = np.zeros(dist.shape, dtype=bool)
+    merge[i, j] = merge[j, i] = g * two_roots < 0.5 * two_roots ** 2
+    keep = np.ones(len(points), dtype=bool)
+    for k in order:
+        if keep[k]:
+            keep[merge[k]] = False
+    return [p for p, k in zip(points, keep) if k]
 
 
 def _first_of_each(keys: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
@@ -404,7 +423,7 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
 
     Far more keys than any isolated configuration allows mean a continuum,
     thinned out to coarse representatives; otherwise the rows are deduped
-    and clusters around degenerate points merged.
+    and the rows spread around a double root merged (`merge_degenerate`).
     """
     continuum = x.shape[0] > 64
     if continuum:
@@ -431,6 +450,23 @@ def _bordered_system(gmap, y: np.ndarray, mu: np.ndarray):
     return f, jac
 
 
+def _solve_stack(jac: np.ndarray, rhs: np.ndarray):
+    """Stacked solves jac @ step = rhs, jac (m, k, k): steps (m, k) and which systems are singular.
+
+    np.linalg.solve rejects a whole stack for one singular system.  Then the
+    systems of determinant exactly 0, which it rejects, get a zero step, and
+    the rest are solved in one more stacked call; the first call stays
+    whole, as a determinant on every call costs more than the rare retry.
+    """
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.zeros(len(jac), dtype=bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(jac) == 0.0
+        step = np.zeros_like(rhs)
+        step[~singular] = np.linalg.solve(jac[~singular], rhs[~singular, :, None])[..., 0]
+        return step, singular
+
+
 def _bordered_newton(gmap, y: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Undamped Newton on (g(y) - mu y, (y^T y - 1)/2) from the rows y (n, 3), real or complex.
 
@@ -451,11 +487,8 @@ def _bordered_newton(gmap, y: np.ndarray, iters: int) -> tuple[np.ndarray, np.nd
             run, f, jac = run[go], f[go], jac[go]
             if run.size == 0:
                 break
-            try:
-                step = np.linalg.solve(jac, f[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                go = np.linalg.det(jac) != 0.0
-                run, step = run[go], np.linalg.solve(jac[go], f[go, :, None])[..., 0]
+            step, singular = _solve_stack(jac, f)
+            run, step = run[~singular], step[~singular]
             y[:, run] -= step[:, :3].T
             mu[run] -= step[:, 3]
             run = run[np.abs(step).max(1) > 1e-15]
@@ -539,7 +572,8 @@ def find_critical_classes(a: np.ndarray, samples: int):
     scaled back.  Returns (classes, continuum) where each class is (x, lam)
     in canonical-representative form.  `continuum` is set when far more
     clusters survive than any isolated configuration allows; the zero
-    tensor, critical everywhere, is a continuum with no classes.
+    tensor, critical everywhere, is a continuum with no classes.  More
+    than count_bound(3, 3) isolated classes raise RuntimeError.
 
     The search stops before the remaining slices once the classes are
     complete (`_complete`, which argues why this is sound): no continuum,
@@ -588,6 +622,9 @@ def find_critical_classes(a: np.ndarray, samples: int):
            keys, stopped, len(points),
            nonreal() if nonreal.cache_info().currsize else "not searched",
            ", a continuum" if continuum else "")
+    if not continuum and len(points) > count_bound(3, 3):
+        raise RuntimeError(f"{len(points)} isolated real classes exceed the bound "
+                           f"count_bound(3, 3) = {count_bound(3, 3)}")
     if not points:
         return [], continuum
     xs = np.array([xi for xi, _, _ in points])

@@ -362,7 +362,7 @@ def _solve_plane(rho, chi, k):
     pi6 = chi > -np.pi / 3
     sign = np.where(pi6, -1.0, 1.0)
     r = sign * rho
-    rho2 = np.array([v ** 2 for v in rho.tolist()])     # by scalar pow, as in walcher_split
+    rho2 = _scalar_pow(rho, 2)
     (t0, t1), (m0, m1) = _quad_rows(2.0 - r, -k, 0.5 * (r - 1.0))
     rim = np.abs(r - 2.0) <= _TOL_PLANE                 # on -pi/2 the meridian root is linear
     t0, m0, m1 = np.where(rim, (r - 1.0) / (2.0 * k), t0), np.where(rim, 1, m0), m1 * ~rim

@@ -51,6 +51,8 @@ _SECTOR_LO = -np.pi / 2
 _SECTOR_HI = -np.pi / 6
 #: canonical K at or below this is the disk K = 0
 _TOL_DISK = 1e-11
+#: rho below this is the axis; K down to minus this counts as K >= 0 in a sector
+_TOL_CANON = 1e-12
 
 #: Reflection across the plane x2 = -x1 tan(pi/6); maps the potential with
 #: angle chi onto the one with angle -chi - pi/3 at the same rho and K.
@@ -163,7 +165,7 @@ _K_SIGNS = np.array([1.0, -1.0] * 3)
 _SECTOR_OPS = np.array([[op, MIRROR @ op] for op in (rotation_z(m * np.pi / 3.0) for m in range(6))])
 
 
-def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
+def canonicalize_arrays(rho, chi, bigk):
     """`canonicalize_params` over 1-D arrays of parameters.
 
     Returns ``(params, op, mirrored)``: the canonical (rho, chi, K) as a
@@ -177,7 +179,7 @@ def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
     k_m = bigk[:, None] * _K_SIGNS
     inner = (_SECTOR_LO - 1e-9 <= chi_m) & (chi_m <= _SECTOR_HI + 1e-9)
     mirrored = (_SECTOR_HI + 1e-9 < chi_m) & (chi_m <= np.pi / 6 + 1e-9)
-    admissible = (inner | mirrored) & (k_m >= -tol)
+    admissible = (inner | mirrored) & (k_m >= -_TOL_CANON)
     chi_m = np.minimum(np.maximum(np.where(mirrored, -chi_m - np.pi / 3.0, chi_m), _SECTOR_LO),
                        _SECTOR_HI)
     k_m = np.where(k_m < 0.0, 0.0, k_m)
@@ -187,7 +189,7 @@ def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
     params = np.array([rho, chi_m[pick], k_m[pick]])
     op = _SECTOR_OPS[best, mirrored[pick].astype(int)]
     mirrored = mirrored[pick]
-    axis = rho < tol
+    axis = rho < _TOL_CANON
     if not (admissible[pick] | axis).all():
         raise RuntimeError("sector reduction failed; parameters out of range")
     disk = ~axis & (params[2] <= _TOL_DISK)
@@ -209,8 +211,7 @@ def canonicalize_arrays(rho, chi, bigk, tol: float = 1e-12):
     return params, op, mirrored
 
 
-def canonicalize_params(rho: float, chi: float, bigk: float,
-                        tol: float = 1e-12):
+def canonicalize_params(rho: float, chi: float, bigk: float):
     """Map (rho, chi, K) into the canonical sector by the residual symmetries.
 
     Returns ``(params, op, mirrored)`` where ``op`` is the orthogonal matrix
@@ -225,7 +226,7 @@ def canonicalize_params(rho: float, chi: float, bigk: float,
     tensor is even in x1 and ``mirrored`` is False.  For 0 < K <= 1e-11
     ``op`` maps the tensor exactly only up to O(K).
     """
-    params, op, mirrored = canonicalize_arrays([rho], [chi], [bigk], tol)
+    params, op, mirrored = canonicalize_arrays([rho], [chi], [bigk])
     return OrientedParams(*params[:, 0].tolist()), op[0], bool(mirrored[0])
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import _solve_stack
 from .eigen import (_deflate, _derivative, _polyval_rows, _quad_rows, _real_eigs, _real_root_rows,
                     _scalar_pow, walcher_split)
 from .potential import OrientedParams
@@ -174,22 +175,6 @@ def _bisect_transition(table: np.ndarray):
     return out
 
 
-def _solve_2x2(jac: np.ndarray, rhs: np.ndarray):
-    """Stacked 2x2 solves: steps (m, 2) and which systems are singular.
-
-    np.linalg.solve rejects a whole stack for one singular system.  Then the
-    systems of determinant exactly 0, which it rejects, get a zero step, and
-    the rest are solved in one more stacked call.
-    """
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], np.zeros(len(jac), dtype=bool)
-    except np.linalg.LinAlgError:
-        singular = np.linalg.det(jac) == 0.0
-        step = np.zeros_like(rhs)
-        step[~singular] = np.linalg.solve(jac[~singular], rhs[~singular, :, None])[..., 0]
-        return step, singular
-
-
 def _refine(table: np.ndarray, s: np.ndarray, k2: np.ndarray):
     """2D Newton on (W, W') = 0 in the unknowns (s, K^2), one candidate per table.
 
@@ -214,7 +199,7 @@ def _refine(table: np.ndarray, s: np.ndarray, k2: np.ndarray):
         w = kr[:, None] * v[:, ::2] + v[:, 1::2]            # W, W', W''
         # the Jacobian [[W', b], [W'', b']] of (W, W') in (s, K^2), row by row
         jac = np.hstack([w[:, 1:], v[:, ::2]])[:, [0, 2, 1, 3]].reshape(-1, 2, 2)
-        step, singular = _solve_2x2(jac, -w[:, :2])
+        step, singular = _solve_stack(jac, -w[:, :2])
         if singular.any():
             ok[run[singular]] = False
             go = ~singular

@@ -230,8 +230,13 @@ def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
     """Independent dense-sampling search, classified like the solver output.
 
     Fibonacci-sphere seeding with projected-gradient warm-up and batched
-    Newton refinement; clusters of near-critical scatter around degenerate
-    points are merged through a midpoint-criticality test.  The seeds run
+    Newton refinement.  The classes are the seeds that Newton converged to
+    residual 1e-9, one per 2e-7 key, deduped to 1e-6 up to x ~ -x; classes
+    closer than 1e-4 then merge unless the derivative of the potential at
+    their midpoint reads two roots, as two simple critical points next to
+    the rim do, rather than rows spread along the valley of one double
+    root (`_optim.merge_degenerate`).  More than count_bound(3, 3) = 7
+    isolated real classes raise.  The seeds run
     in slices, and the search stops early once its real classes, none
     degenerate and no continuum, together with the non-real eigenvector
     classes that a small complex Newton verifies, number count_bound(3, 3)

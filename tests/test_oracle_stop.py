@@ -15,6 +15,7 @@ from octupolar import OrientedParams, from_rho_chi_K, full_topology, k_star, ora
 from octupolar import _optim
 from octupolar._optim import _SLICE, _complete, _nonreal_classes, find_critical_classes
 from test_oracle_snapshot import PANEL, panel_octupole
+from test_orient_snapshot import image
 
 PI = np.pi
 SAMPLES = 100_000
@@ -190,11 +191,34 @@ def test_continua_are_still_reported(p):
     assert oracle_critical_points(from_rho_chi_K(OrientedParams(*p)), samples=SAMPLES).continuum
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="next to the rim merge_degenerate folds the saddle 1.1e-5 from the pole "
-                          "maximum into it, as their midpoint is critical to 1e-9; the index sum "
-                          "reads 4 (ROADMAP item 6, rim resolution)")
-def test_oracle_resolves_the_pair_next_to_the_rim():
-    p = OrientedParams(1.9999826473030649, -0.9917324771688271, 2.4438107997534178)
-    rep = oracle_critical_points(from_rho_chi_K(p), samples=SAMPLES)
-    assert rep.total == full_topology(p).total == 14
+@pytest.mark.parametrize("p", [
+    (1.9999826473030649, -0.9917324771688271, 2.4438107997534178),
+    (1.999997823228584, -1.2298123400128267, 0.8108003217720701),
+    (1.9998925480358711, -1.2436344161573527, 1.917126319378395),
+    (1.9999996835264746, -0.6839879093057938, 0.8090127566195326),   # two degenerate saddle classes
+])
+def test_oracle_resolves_the_pair_next_to_the_rim(p):
+    # the maximum and the saddle next to the pole are two roots, which merge_degenerate keeps apart
+    p = OrientedParams(*p)
+    rep, want = oracle_critical_points(from_rho_chi_K(p), samples=SAMPLES), full_topology(p)
+    assert rep.total == want.total == 14 and rep.counts == want.counts
+
+
+@pytest.mark.parametrize("p, seed", [
+    ((2.0, -0.7563, 0.1), None), ((2.0, -0.7563, 0.1), 4),
+    pytest.param((2.0, -0.7563, 0.1), 6, marks=pytest.mark.xfail(
+        strict=True, reason="74 keys survive along the valley, so the 64-key rule reads a continuum")),
+    ((2.0, -0.5463, 1.885), None), ((2.0, -0.5463, 1.885), 7),
+])
+def test_oracle_merges_the_rows_around_a_double_root(p, seed):
+    # on the rim the pole is a double root: Newton leaves converged rows 1e-6 to 5e-6 apart along
+    # its valley, which read as up to ten classes before merge_degenerate
+    a = from_rho_chi_K(OrientedParams(*p)).array if seed is None else image(p, seed)
+    rep, want = oracle_critical_points(a, samples=SAMPLES), full_topology(OrientedParams(*p))
+    assert rep.total == want.total == 12 and rep.counts == want.counts
+
+
+def test_more_than_seven_isolated_classes_raise(monkeypatch):
+    monkeypatch.setattr(_optim, "merge_degenerate", lambda a, points: points)
+    with pytest.raises(RuntimeError, match="10 isolated real classes exceed the bound"):
+        oracle_critical_points(from_rho_chi_K(OrientedParams(2.0, -0.7563, 0.1)), samples=SAMPLES)

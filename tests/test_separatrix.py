@@ -6,9 +6,10 @@ from octupolar import (
     k_star, region_scan,
 )
 from octupolar.separatrix import (
-    _bisect_transition, _kstar_tables, _near_pi2_candidate, _solve_2x2, f_function, g_function,
+    _bisect_transition, _kstar_tables, _near_pi2_candidate, f_function, g_function,
     h_function, kappa_function, scan_csv_lines, separatrix_csv_lines,
 )
+from octupolar._optim import _solve_stack
 from octupolar.eigen import walcher_split
 
 rng = np.random.default_rng(17)
@@ -103,8 +104,16 @@ class TestKStar:
         jac = rng.normal(size=(7, 2, 2))
         jac[[1, 4, 5], :, 0] = 0.0
         rhs = rng.normal(size=(7, 2))
-        step, singular = _solve_2x2(jac, rhs)
+        step, singular = _solve_stack(jac, rhs)
         assert singular.tolist() == [False, True, False, False, True, True, False]
+        for j, r, got in zip(jac[~singular], rhs[~singular], step[~singular]):
+            assert np.array_equal(got, np.linalg.solve(j, r))
+        # the same helper serves the complex 4x4 bordered Newton
+        jac = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        jac[3, 2] = 0.0
+        rhs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        step, singular = _solve_stack(jac, rhs)
+        assert singular.tolist() == [False, False, False, True, False] and not step[3].any()
         for j, r, got in zip(jac[~singular], rhs[~singular], step[~singular]):
             assert np.array_equal(got, np.linalg.solve(j, r))
 

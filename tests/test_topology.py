@@ -158,6 +158,15 @@ class TestFullTopology:
         rep = full_topology(OrientedParams(2.0 - 1e-9, -PI / 6, 1.3))
         assert rep.index_sum == 2
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="eigenpair residual 4.09e-09 on pi6-meridian: next to a near-double "
+                              "root the first full polish step raises the residual 10.5-fold, "
+                              "and newton_refine's step halving stalls")
+    def test_pi6_band_meridian_polish(self):
+        rep = full_topology(OrientedParams(0.5947366078799601, -0.5235988736265751,
+                                           0.23879948048872432))
+        assert rep.index_sum == 2
+
 
 class TestOracle:
     def test_tetrahedral_agrees_with_solver(self):
