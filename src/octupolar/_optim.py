@@ -410,7 +410,7 @@ def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, index: np.ndar
         x = x + step * surface_gradient(a, x)
         x /= np.sqrt((x * x).sum(0))
     x, lam = newton_refine(a, x.T, (x * _axx(b, x)).sum(0))
-    ok = np.abs(_axx(b, x.T) - lam * x.T).max(0) <= _CRITICAL_TOL
+    ok = _residual(b, x.T, lam) <= _CRITICAL_TOL
     x, lam = x[ok], lam[ok]
     flip = canonical_flip(x)
     x[flip] *= -1.0
@@ -418,20 +418,27 @@ def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, index: np.ndar
     return _first_rows(x, lam, index[ok])
 
 
-def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
-    """(points, continuum): the classes of survivors reduced to one row per 2e-7 key.
+def _continuum(x: np.ndarray) -> bool:
+    """Whether survivors x (n, 3), one row per 2e-7 key, lie on a continuum.
 
-    Far more keys than any isolated configuration allows mean a continuum,
-    thinned out to coarse representatives; otherwise the rows are deduped
-    and the rows spread around a double root merged (`merge_degenerate`).
+    The dense search's one continuum rule: more than 64 keys, far more than
+    any isolated configuration leaves (ROADMAP item 14 is to replace it).
     """
-    continuum = x.shape[0] > 64
+    return x.shape[0] > 64
+
+
+def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
+    """The classes of survivors reduced to one row per 2e-7 key.
+
+    A continuum (`_continuum`) is thinned out to coarse representatives;
+    otherwise the rows are deduped and the rows spread around a double root
+    merged (`merge_degenerate`).
+    """
+    continuum = _continuum(x)
     if continuum:
         x, lam, _ = _first_rows(x, lam, np.arange(x.shape[0]), 1e-2)
     points = dedupe_classes([(xi, li, (None, 1)) for xi, li in zip(x, lam)], tol=1e-6)
-    if not continuum:
-        points = merge_degenerate(a, points)
-    return points, continuum
+    return points if continuum else merge_degenerate(a, points)
 
 
 def cubic_map(b: np.ndarray, c: np.ndarray):
@@ -570,19 +577,20 @@ def find_critical_classes(a: np.ndarray, samples: int):
     The search runs on the tensor scaled by a power of two to max |a| in
     [1/2, 1), so its absolute tolerances are relative ones, and lam is
     scaled back.  Returns (classes, continuum) where each class is (x, lam)
-    in canonical-representative form.  `continuum` is set when far more
-    clusters survive than any isolated configuration allows; the zero
-    tensor, critical everywhere, is a continuum with no classes.  More
-    than count_bound(3, 3) isolated classes raise RuntimeError.
+    in canonical-representative form and `continuum` is the verdict of
+    `_continuum`; the zero tensor, critical everywhere, is a continuum with
+    no classes.  More than count_bound(3, 3) isolated classes raise
+    RuntimeError.
 
-    The search stops before the remaining slices once the classes are
-    complete (`_complete`, which argues why this is sound): no continuum,
-    and count_bound(3, 3) = 7 simple classes, real or verified non-real.
-    The classes are re-derived only after a slice that added a key and
-    leaves a slice to be skipped, and once more after the last slice; the
-    non-real search runs at most once per call.  A continuum that slips
-    under the 64-key rule shows up as scattered points of it, which are
-    degenerate and never stop the search.
+    After each slice `_continuum` judges the survivors so far.  Once they
+    hold a continuum they always will, so the later slices' rows are only
+    collected, and reduced and classified (`_classes`) once after the last
+    slice.  Otherwise the slice's classes are derived, and the search stops
+    before the remaining slices once they are complete (`_complete`, which
+    argues why this is sound): count_bound(3, 3) = 7 simple classes, real
+    or verified non-real; the non-real search runs at most once per call.
+    A continuum that `_continuum` misses shows up as scattered points of
+    it, which are degenerate and never stop the search.
 
     Each call logs one DEBUG line on the "octupolar" logger: the slices run
     out of the total, the keys, whether the class bound stopped the search,
@@ -598,35 +606,29 @@ def find_critical_classes(a: np.ndarray, samples: int):
     b, _ = _coefficients(a)
     seeds, order = _seeds(samples)
     rows = np.empty((0, 3)), np.empty(0), order[:0]        # x, lam and lattice index
-    keys, stopped = 0, False
+    continuum = stopped = False
     nonreal = cache(lambda: len(_nonreal_classes(a)[0]))
     for lo in range(0, samples, _SLICE):
         new = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], order[lo:lo + _SLICE], samples)
         rows = tuple(np.concatenate(pair) for pair in zip(rows, new))
-        if keys > 64:
-            continue        # a continuum for good: its rows are reduced once, after the last slice
+        if continuum:
+            continue        # a continuum for good: its rows are reduced once, after the loop
         rows = _first_rows(*rows)
-        x, lam, _ = rows
-        grew, keys = x.shape[0] > keys, x.shape[0]
-        if grew and keys <= 64 and lo + _SLICE < samples:     # below the continuum rule
-            points, continuum = _classes(a, x, lam)
-            stopped = _complete(a, points, nonreal)
+        continuum = _continuum(rows[0])
+        if not continuum:
+            points = _classes(a, *rows[:2])
+            stopped = lo + _SLICE < samples and _complete(a, points, nonreal)
             if stopped:
                 break
-    if not stopped:         # a later slice may have lowered the index of a key's row
-        x, lam, _ = _first_rows(*rows)
-        keys = x.shape[0]
-        points, continuum = _classes(a, x, lam)
+    if continuum:
+        rows = _first_rows(*rows)
+        points = _classes(a, *rows[:2])
     _debug("find_critical_classes: %d of %d slices, %d keys, stopped at the class bound: %s, "
            "%d real classes, verified non-real classes: %s%s", lo // _SLICE + 1, slices,
-           keys, stopped, len(points),
+           len(rows[0]), stopped, len(points),
            nonreal() if nonreal.cache_info().currsize else "not searched",
            ", a continuum" if continuum else "")
     if not continuum and len(points) > count_bound(3, 3):
         raise RuntimeError(f"{len(points)} isolated real classes exceed the bound "
                            f"count_bound(3, 3) = {count_bound(3, 3)}")
-    if not points:
-        return [], continuum
-    xs = np.array([xi for xi, _, _ in points])
-    sign = np.where(canonical_flip(xs), -1.0, 1.0)
-    return [(s * xi, np.ldexp(s * li, e)) for s, (xi, li, _) in zip(sign, points)], continuum
+    return [(xi, np.ldexp(li, e)) for xi, li, _ in points], continuum

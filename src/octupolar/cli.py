@@ -37,9 +37,13 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
+def _chi(args) -> float:
+    """--chi in radians, converted from degrees under --chi-degrees."""
+    return np.deg2rad(args.chi) if args.chi_degrees else args.chi
+
+
 def _params(args) -> OrientedParams:
-    chi = np.deg2rad(args.chi) if args.chi_degrees else args.chi
-    return OrientedParams(rho=args.rho, chi=chi, bigk=args.K)
+    return OrientedParams(rho=args.rho, chi=_chi(args), bigk=args.K)
 
 
 def _cmd_decompose(args) -> int:
@@ -94,17 +98,15 @@ def _cmd_ceigen(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    chi = np.deg2rad(args.chi) if args.chi_degrees else args.chi
-    samples = separatrix.region_scan(chi, args.rho_steps, args.k_max, args.k_steps,
+    samples = separatrix.region_scan(_chi(args), args.rho_steps, args.k_max, args.k_steps,
                                      on_separatrix=args.on_separatrix)
     _write(args.output, "\n".join(separatrix.scan_csv_lines(samples)) + "\n")
     return 0
 
 
 def _cmd_separatrix(args) -> int:
-    chi = np.deg2rad(args.chi) if args.chi_degrees else args.chi
     rhos = np.linspace(args.rho_min, args.rho_max, args.rho_steps)
-    _write(args.output, "\n".join(separatrix.separatrix_csv_lines(chi, rhos)) + "\n")
+    _write(args.output, "\n".join(separatrix.separatrix_csv_lines(_chi(args), rhos)) + "\n")
     return 0
 
 
@@ -134,10 +136,7 @@ def _cmd_grid(args) -> int:
     p = _params(args)
     rows = sample_grid(from_rho_chi_K(p), SphereGrid(args.theta_steps, args.phi_steps),
                        mode=args.mode)
-    if args.output is None or args.output == "-":
-        write_grid_csv(rows, sys.stdout)
-    else:
-        write_grid_csv(rows, args.output)
+    write_grid_csv(rows, sys.stdout if args.output in (None, "-") else args.output)
     return 0
 
 

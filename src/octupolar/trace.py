@@ -119,71 +119,61 @@ def trace_potential(p: TraceParams, x) -> float:
     return float(p.a1 * x[0] * x[2] ** 2 + p.a2 * x[1] * x[0] ** 2 + p.a3 * x[2] * x[1] ** 2)
 
 
-def _xi_of_mu(mu: float) -> float:
-    return float(np.arcsin(np.sign(mu) * np.sqrt(2.0 / (4.0 - mu * mu))))
-
-
 def _require_oriented(p: TraceParams) -> None:
     scale = max(abs(p.a1), abs(p.a2), abs(p.a3), 1e-300)
     if abs(p.a1) > 1e-12 * scale:
         raise ValueError("oriented trace form requires a1 = 0")
 
 
-def trace_classify(p: TraceParams) -> dict:
-    """kind and topological index per label, matching the index table.
+def _trace_table(p: TraceParams) -> tuple[dict, dict]:
+    """Each label's (x1, x2, value, kind, index, multiplicity), and the report's flags.
 
-    Classification follows the chart-Hessian eigenvalues; a negative a2
-    flips the potential, exchanging maxima and minima without touching the
-    indices.  p1 is degenerate; its index is the value forced by the
-    sphere-total theorem, which is -1 for every mu != 0.
+    The flags are the `TraceReport` fields beyond the points.  An extremum's
+    value has the sign of a3 = mu a2, so it is a maximum exactly when a3 > 0:
+    a negative a2 exchanges maxima and minima without touching the indices.
+    p1 is degenerate; its index is the value forced by the sphere-total
+    theorem, which is -1 for every mu != 0.  p2 and p3 are extrema where
+    their chart-Hessian eigenvalues e1 = -4 sqrt3 mu and e2 (below) share a
+    sign, that is where e2 mu < 0, and saddles otherwise.
     """
     _require_oriented(p)
-    if p.a2 == 0.0:
-        return {"p1": ("degenerate_saddle", 0), "p2": ("maximum" if p.a3 > 0 else "minimum", 1),
-                "p3": ("maximum" if p.a3 > 0 else "minimum", 1)}
+    extremum = "maximum" if p.a3 > 0 else "minimum"
+    if p.a2 == 0.0:         # the x2 = 0 meridian is critical, (+-1, 0) are degenerate saddles
+        v = p.a3 * (2.0 / 3.0) / np.sqrt(3.0)
+        return ({"p1": (0.0, 0.0, 0.0, "degenerate_saddle", 0, 1),
+                 "p2": (0.0, -_SQ23, v, extremum, 1, 1), "p3": (0.0, _SQ23, v, extremum, 1, 1)},
+                {"continuum_meridian": True, "equator_saddles": ((1.0, 0.0), (-1.0, 0.0))})
     mu = p.mu
-    flip = p.a2 < 0.0
+    v = p.a2 * 2.0 * mu / (3.0 * np.sqrt(3.0))
+    if mu == 0.0:           # the x1 = 0 meridian is critical, with four extrema on the equator
+        c, s = _SQ23, np.sqrt(1.0 / 3.0)
+        return ({"p1": (0.0, 0.0, 0.0, "degenerate_saddle", 0, 1),
+                 "p2": (0.0, -_SQ23, v, "degenerate_saddle", 0, 1),
+                 "p3": (0.0, _SQ23, v, "degenerate_saddle", 0, 1)},
+                {"continuum_meridian": True, "equator_extrema": ((c, s), (-c, s), (c, -s), (-c, -s))})
+    table = {"p1": (0.0, 0.0, 0.0, "degenerate_saddle", -1, 1)}
+    for label, x2, e2 in (("p2", -_SQ23, -_SQ23 * (2.0 + np.sqrt(2.0) * mu)),
+                          ("p3", _SQ23, _SQ23 * (2.0 - np.sqrt(2.0) * mu))):
+        kind, index = (extremum, 1) if e2 * mu < 0 else ("saddle", -1)
+        table[label] = (0.0, x2, v, kind, index, 1)
+    if abs(mu) <= np.sqrt(2.0):     # p4/p5 on the ellipse; at |mu| = sqrt2 they meet p2 or p3
+        xi = np.arcsin(np.sign(mu) * np.sqrt(2.0 / (4.0 - mu * mu)))
+        x1, x2 = 2.0 / np.sqrt(3.0) * np.cos(xi), _SQ23 * np.sin(xi)
+        v45 = p.a2 * np.sign(mu) * 4.0 / (3.0 * np.sqrt(3.0) * np.sqrt(4.0 - mu * mu))
+        mult = 2 if abs(abs(mu) - np.sqrt(2.0)) <= 1e-12 else 1
+        table["p4"] = (-x1, x2, v45, extremum, 1, mult)
+        table["p5"] = (x1, x2, v45, extremum, 1, mult)
+    return table, {}
 
-    def oriented_kind(kind: str) -> str:
-        if not flip:
-            return kind
-        return {"maximum": "minimum", "minimum": "maximum"}.get(kind, kind)
 
-    out = {"p1": ("degenerate_saddle", -1 if mu != 0.0 else 0)}
-    # chart-Hessian eigenvalues (e1, e2) at p2 and p3; they share e1 = -4 sqrt3 mu
-    e1 = -4.0 * np.sqrt(3.0) * mu
-    for label, e2 in (("p2", -_SQ23 * (2.0 + np.sqrt(2.0) * mu)),
-                      ("p3", _SQ23 * (2.0 - np.sqrt(2.0) * mu))):
-        if e1 < 0 and e2 < 0:
-            out[label] = (oriented_kind("maximum"), 1)
-        elif e1 > 0 and e2 > 0:
-            out[label] = (oriented_kind("minimum"), 1)
-        elif mu == 0.0:
-            out[label] = ("degenerate_saddle", 0)
-        else:
-            out[label] = ("saddle", -1)
-    if 0.0 < abs(mu) <= np.sqrt(2.0):
-        kind = oriented_kind("maximum" if mu > 0 else "minimum")
-        out["p4"] = (kind, 1)
-        out["p5"] = (kind, 1)
-    return out
+def trace_classify(p: TraceParams) -> dict:
+    """kind and topological index per label, matching the index table (`_trace_table`)."""
+    return {label: row[3:5] for label, row in _trace_table(p)[0].items()}
 
 
 def trace_critical_values(p: TraceParams) -> dict:
     """Potential value at each labelled critical point (scaled by a2)."""
-    _require_oriented(p)
-    if p.a2 == 0.0:
-        v = p.a3 * (2.0 / 3.0) / np.sqrt(3.0)
-        return {"p1": 0.0, "p2": v, "p3": v}
-    mu = p.mu
-    out = {"p1": 0.0,
-           "p2": p.a2 * 2.0 * mu / (3.0 * np.sqrt(3.0)),
-           "p3": p.a2 * 2.0 * mu / (3.0 * np.sqrt(3.0))}
-    if 0.0 < abs(mu) <= np.sqrt(2.0):
-        v45 = p.a2 * np.sign(mu) * 4.0 / (3.0 * np.sqrt(3.0) * np.sqrt(4.0 - mu * mu))
-        out["p4"] = v45
-        out["p5"] = v45
-    return out
+    return {label: row[2] for label, row in _trace_table(p)[0].items()}
 
 
 def trace_critical_points(p: TraceParams) -> TraceReport:
@@ -195,45 +185,12 @@ def trace_critical_points(p: TraceParams) -> TraceReport:
     x1 = 0 meridian critical, with the four equatorial extrema reported
     separately (they fall outside the p1-p5 labels).
     """
-    _require_oriented(p)
-    kinds = trace_classify(p)
-    values = trace_critical_values(p)
-    pts = []
-
-    def add(label, x1, x2, mult=1):
-        kind, idx = kinds[label]
-        pts.append(TraceCriticalPoint(label=label, x1=float(x1), x2=float(x2),
-                                      value=float(values[label]), kind=kind,
-                                      index=idx, multiplicity=mult))
-
-    if p.a2 == 0.0:
-        if p.a3 == 0.0:
-            raise ValueError("zero trace form has no critical-point structure")
-        add("p1", 0.0, 0.0)
-        add("p2", 0.0, -_SQ23)
-        add("p3", 0.0, _SQ23)
-        return TraceReport(points=tuple(pts), continuum_meridian=True,
-                           equator_saddles=((1.0, 0.0), (-1.0, 0.0)))
-
-    mu = p.mu
-    add("p1", 0.0, 0.0)
-    add("p2", 0.0, -_SQ23)
-    add("p3", 0.0, _SQ23)
-    continuum = (mu == 0.0)
-    extrema = ()
-    if continuum:
-        c = np.sqrt(2.0 / 3.0)
-        s = np.sqrt(1.0 / 3.0)
-        extrema = ((c, s), (-c, s), (c, -s), (-c, -s))
-    if 0.0 < abs(mu) <= np.sqrt(2.0):
-        xi = _xi_of_mu(mu)
-        x1 = 2.0 / np.sqrt(3.0) * np.cos(xi)
-        x2 = _SQ23 * np.sin(xi)
-        coalesced = abs(abs(mu) - np.sqrt(2.0)) <= 1e-12
-        add("p4", -x1, x2, 2 if coalesced else 1)
-        add("p5", x1, x2, 2 if coalesced else 1)
-    return TraceReport(points=tuple(pts), continuum_meridian=continuum,
-                       equator_extrema=extrema)
+    table, flags = _trace_table(p)
+    if not (p.a2 or p.a3):
+        raise ValueError("zero trace form has no critical-point structure")
+    points = tuple(TraceCriticalPoint(label, float(x1), float(x2), float(value), kind, index, mult)
+                   for label, (x1, x2, value, kind, index, mult) in table.items())
+    return TraceReport(points=points, **flags)
 
 
 @dataclass(frozen=True)

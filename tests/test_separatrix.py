@@ -99,6 +99,14 @@ class TestKStar:
         with pytest.raises(ValueError):
             k_star(1.0, -PI / 2)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="at rho = 2 the rim collision's K^2 = -c/b is rounding noise: "
+                              "s_plus = tan chi + sec chi cancels to 0.0109, c(s_plus) reads "
+                              "2.9e-13 and K^2 = -1.12e-12 falls past the q > -1e-12 test "
+                              "(ROADMAP item 4)")
+    def test_rim_collision_at_rounding_noise(self):
+        assert k_star(2.0, -1.5490319988766765).k >= 0.0
+
     def test_singular_step_fails_alone(self):
         # a stack with singular systems solves the others as np.linalg.solve does one at a time
         jac = rng.normal(size=(7, 2, 2))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,11 @@ class TestCriticalPoints:
         rep = trace_critical_points(TraceParams(0.0, 1.0, 0.0))
         assert rep.continuum_meridian
         assert len(rep.equator_extrema) == 4
+
+    def test_report_of_numpy_scalars_is_json(self):
+        # mu = 0 from numpy scalars: the continuum flag stays a Python bool
+        rep = trace_critical_points(TraceParams(0.0, np.float64(1.0), np.float64(0.0)))
+        assert json.loads(json.dumps(rep.to_report()))["continuum_meridian"] is True
 
     def test_requires_oriented(self):
         with pytest.raises(ValueError):
