@@ -22,14 +22,18 @@ def _debug(msg: str, *args) -> None:
         logging.getLogger("octupolar").debug(msg, *args)
 
 
-@cache
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n quasi-uniform points on the unit sphere, shape (n, 3); built once per n, read-only."""
-    i = np.arange(n)
+def _lattice(i: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The components (x, y, z) of the points i of the n-point Fibonacci lattice."""
     z = 1.0 - 2.0 * (i + 0.5) / n
     theta = 2.0 * np.pi * i / _GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    x = np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
+    return r * np.cos(theta), r * np.sin(theta), z
+
+
+@cache
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n quasi-uniform points on the unit sphere, shape (n, 3); built once per n, read-only."""
+    x = np.stack(_lattice(np.arange(n), n), axis=1)
     x.flags.writeable = False
     return x
 
@@ -200,7 +204,8 @@ _FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
 _MERGE_RADIUS = 1e-4     # merge_degenerate's cluster radius
 _CRITICAL_TOL = 1e-9     # residual of a critical point in the dense search
 _PRESTEPS = 3            # projected-gradient steps before the dense search's Newton
-_SLICE = 8192            # seeds per pass of the dense search; its Newton temporaries stay in cache
+_FIRST = 1024            # seeds in the dense search's first slice, which most tensors stop after
+_SLICE = 8192            # seeds per later slice; its Newton temporaries stay in cache
 
 
 def tangent_hessian(c: np.ndarray, x: np.ndarray, lam: np.ndarray):
@@ -377,25 +382,31 @@ def _first_rows(x: np.ndarray, lam: np.ndarray, index: np.ndarray, cell: float =
     return x[first], lam[first], index[first]
 
 
-def _seeds(samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense search's seeds (3, samples) in visiting order, and their lattice indices.
+def _seeds(samples: int):
+    """The dense search's seeds, slice by slice: (x (3, m), lattice indices (m,)) per slice.
 
-    With n = ceil(samples / _SLICE), the `fibonacci_sphere(samples)` points
+    With n = ceil(samples / _FIRST), the `fibonacci_sphere(samples)` points
     are visited in residue order: every lattice index = 0 (mod n), then every
     index = 1, and so on.  The lattice runs from pole to pole, so each
-    _SLICE-row chunk of this order spans the whole sphere; samples <= _SLICE
-    keeps the lattice order.
+    residue class, of at most _FIRST points, spans the whole sphere.  The
+    first slice is the first _FIRST points of this order, residue class 0
+    whole among them, and each later slice the next _SLICE; samples <= _FIRST
+    is one slice in the lattice order.
 
-    The seeds are one private component-major copy, sliced by view.  Its
-    free at the end of each call raises glibc's mmap threshold above the
-    Newton temporaries; reading the cached array instead page-faulted many
-    times more per call (ROADMAP item 6, malloc dependence).  The indices
-    are int32.
+    Each slice's indices come from where the residue classes begin, and its
+    seeds from the lattice formula at those indices, bitwise equal to those
+    rows of `fibonacci_sphere(samples)`; nothing of size ``samples`` is built
+    or cached.
     """
-    n = -(-samples // _SLICE)
-    lattice = fibonacci_sphere(samples).T
-    seeds = np.concatenate([lattice[:, r::n] for r in range(n)], axis=1, out=np.empty((3, samples)))
-    return seeds, np.concatenate([np.arange(r, samples, n, dtype=np.int32) for r in range(n)])
+    n = -(-samples // _FIRST)
+    k = np.arange(n)
+    start = k * (samples // n) + np.minimum(k, samples % n)    # where residue class k begins
+    bounds = [0, *range(_FIRST, samples, _SLICE), samples]
+    for lo, hi in zip(bounds, bounds[1:]):
+        pos = np.arange(lo, hi)
+        r = np.searchsorted(start, pos, side="right") - 1       # the residue class at each position
+        index = r + n * (pos - start[r])
+        yield np.stack(_lattice(index, samples)), index
 
 
 def _slice_survivors(a: np.ndarray, b: np.ndarray, x: np.ndarray, index: np.ndarray, samples: int):
@@ -569,11 +580,12 @@ def find_critical_classes(a: np.ndarray, samples: int):
     Seeds a Fibonacci grid (the first half ascends, the second descends),
     runs a few projected-gradient steps, then batched Newton, and keeps the
     points with residual at most _CRITICAL_TOL.  The seeds go through this
-    in slices of _SLICE rows, in the residue order of `_seeds`, so that
-    every slice spans the sphere; each slice is reduced to one row per 2e-7
-    key, and the survivors of all slices so far keep the row of lowest
-    lattice index of each key.  A row depends only on its own seed, so a
-    search over all slices keeps the rows that the lattice order would.
+    in the slices of `_seeds`, a first one of _FIRST rows and then _SLICE
+    rows at a time, each of which spans the sphere; each slice is reduced
+    to one row per 2e-7 key, and the survivors of all slices so far keep
+    the row of lowest lattice index of each key.  A row depends only on its
+    own seed, so a search over all slices keeps the rows that the lattice
+    order would.
     The search runs on the tensor scaled by a power of two to max |a| in
     [1/2, 1), so its absolute tolerances are relative ones, and lam is
     scaled back.  Returns (classes, continuum) where each class is (x, lam)
@@ -589,6 +601,8 @@ def find_critical_classes(a: np.ndarray, samples: int):
     before the remaining slices once they are complete (`_complete`, which
     argues why this is sound): count_bound(3, 3) = 7 simple classes, real
     or verified non-real; the non-real search runs at most once per call.
+    The small first slice lets most tensors stop after _FIRST polished
+    seeds, and the larger later ones keep a full sweep as fast as before.
     A continuum that `_continuum` misses shows up as scattered points of
     it, which are degenerate and never stop the search.
 
@@ -596,7 +610,7 @@ def find_critical_classes(a: np.ndarray, samples: int):
     out of the total, the keys, whether the class bound stopped the search,
     and the real and verified non-real class counts.
     """
-    slices = -(-samples // _SLICE)
+    slices = 1 + len(range(_FIRST, samples, _SLICE))       # as `_seeds` cuts them
     peak = np.max(np.abs(a))
     if peak == 0.0:
         _debug("find_critical_classes: the zero tensor, a continuum; 0 of %d slices", slices)
@@ -604,12 +618,11 @@ def find_critical_classes(a: np.ndarray, samples: int):
     e = np.frexp(peak)[1]
     a = np.ldexp(a, -e)
     b, _ = _coefficients(a)
-    seeds, order = _seeds(samples)
-    rows = np.empty((0, 3)), np.empty(0), order[:0]        # x, lam and lattice index
+    rows = np.empty((0, 3)), np.empty(0), np.empty(0, dtype=int)    # x, lam and lattice index
     continuum = stopped = False
     nonreal = cache(lambda: len(_nonreal_classes(a)[0]))
-    for lo in range(0, samples, _SLICE):
-        new = _slice_survivors(a, b, seeds[:, lo:lo + _SLICE], order[lo:lo + _SLICE], samples)
+    for run, (x, index) in enumerate(_seeds(samples), 1):
+        new = _slice_survivors(a, b, x, index, samples)
         rows = tuple(np.concatenate(pair) for pair in zip(rows, new))
         if continuum:
             continue        # a continuum for good: its rows are reduced once, after the loop
@@ -617,14 +630,14 @@ def find_critical_classes(a: np.ndarray, samples: int):
         continuum = _continuum(rows[0])
         if not continuum:
             points = _classes(a, *rows[:2])
-            stopped = lo + _SLICE < samples and _complete(a, points, nonreal)
+            stopped = run < slices and _complete(a, points, nonreal)
             if stopped:
                 break
     if continuum:
         rows = _first_rows(*rows)
         points = _classes(a, *rows[:2])
     _debug("find_critical_classes: %d of %d slices, %d keys, stopped at the class bound: %s, "
-           "%d real classes, verified non-real classes: %s%s", lo // _SLICE + 1, slices,
+           "%d real classes, verified non-real classes: %s%s", run, slices,
            len(rows[0]), stopped, len(points),
            nonreal() if nonreal.cache_info().currsize else "not searched",
            ", a continuum" if continuum else "")

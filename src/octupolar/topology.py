@@ -236,12 +236,14 @@ def oracle_critical_points(t, samples: int = 100_000) -> TopologyReport:
     their midpoint reads two roots, as two simple critical points next to
     the rim do, rather than rows spread along the valley of one double
     root (`_optim.merge_degenerate`).  More than count_bound(3, 3) = 7
-    isolated real classes raise.  The seeds run
-    in slices, and the search stops early once its real classes, none
-    degenerate and no continuum, together with the non-real eigenvector
-    classes that a small complex Newton verifies, number count_bound(3, 3)
-    = 7: then the skipped seeds could add only duplicates, as
-    `_optim._complete` argues after Cartwright and Sturmfels (2013).
+    isolated real classes raise.  The seeds run in slices that each span
+    the sphere, a first one of 1,024 and then 8,192 at a time, and the
+    search stops after any slice once its real classes, none degenerate
+    and no continuum, together with the non-real eigenvector classes that
+    a small complex Newton verifies, number count_bound(3, 3) = 7: then
+    the skipped seeds could add only duplicates, as `_optim._complete`
+    argues after Cartwright and Sturmfels (2013).  Most tensors stop after
+    the first slice, so the search's memory does not grow with ``samples``.
 
     The tensor must be fully symmetric to 1e-10 max |a|; pass
     ``tensors.symmetrize(a)`` for the cubic form of any other tensor.

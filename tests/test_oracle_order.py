@@ -1,8 +1,9 @@
 """The order in which the dense search of `_optim.find_critical_classes` visits its seeds.
 
 The `fibonacci_sphere` lattice runs from pole to pole.  The search visits it
-in residue order modulo the slice count, so that every _SLICE-row slice
-spans the sphere and the class-bound stop fires after the first slice.
+in residue order modulo ceil(samples / _FIRST), in a first slice of _FIRST
+seeds and then slices of _SLICE, so that every slice spans the sphere and
+the class-bound stop fires after the first slice.
 These tests check that every seed is visited once with the step its
 lattice index gives it, that the first slice covers the sphere, how many
 slices the panel and the seeded tensors run, that a search over all slices
@@ -17,13 +18,18 @@ import pytest
 
 from octupolar import oracle_critical_points
 from octupolar import _optim
-from octupolar._optim import _SLICE, fibonacci_sphere, find_critical_classes
+from octupolar._optim import _FIRST, _SLICE, fibonacci_sphere, find_critical_classes
 from test_oracle_slices import whole_array_reference
 from test_oracle_snapshot import PANEL, panel_octupole
 from test_oracle_stop import (FIVE_CLASS, SAMPLES, SLICES, count_slices, full_sweep,
                               near_separatrix_tensors, outcome, seeded_tensors)
 
 ORDER_SAMPLES = [1000, _SLICE, _SLICE + 1, 3 * _SLICE + 5, SAMPLES]
+
+
+def slice_sizes(samples):
+    """The rows of each slice: _FIRST, then _SLICE at a time."""
+    return [min(_FIRST, samples)] + [min(_SLICE, samples - lo) for lo in range(_FIRST, samples, _SLICE)]
 
 
 def visited_slices(monkeypatch, samples):
@@ -42,13 +48,12 @@ def visited_slices(monkeypatch, samples):
 @pytest.mark.parametrize("samples", ORDER_SAMPLES)
 def test_every_lattice_index_is_visited_once(monkeypatch, samples):
     seen = visited_slices(monkeypatch, samples)
-    sizes = [min(_SLICE, samples - lo) for lo in range(0, samples, _SLICE)]
-    assert [len(i) for _, i in seen] == sizes
+    assert [len(i) for _, i in seen] == slice_sizes(samples)
     x = np.concatenate([x for x, _ in seen], axis=1)
     index = np.concatenate([i for _, i in seen])
     assert np.array_equal(np.sort(index), np.arange(samples))
     np.testing.assert_array_equal(x, fibonacci_sphere(samples)[index].T)
-    if samples <= _SLICE:
+    if samples <= _FIRST:
         assert np.array_equal(index, np.arange(samples))        # the lattice order, as before
 
 
@@ -71,7 +76,7 @@ def test_step_sign_follows_the_lattice_index(monkeypatch, samples):
     monkeypatch.setattr(_optim, "surface_gradient", lambda a, x: np.broadcast_to(e3, x.shape))
     monkeypatch.setattr(_optim, "newton_refine", fake_newton)
     find_critical_classes(panel_octupole(0).array, samples)
-    assert len(seen) == len(polished) == -(-samples // _SLICE)
+    assert len(seen) == len(polished) == len(slice_sizes(samples))
     for (x, index), z in zip(seen, polished):
         assert np.array_equal(z > x[2], index < samples // 2)
         assert not (z == x[2]).any()

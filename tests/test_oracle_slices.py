@@ -1,10 +1,10 @@
 """The sliced dense search in `_optim.find_critical_classes`.
 
-The oracle seeds, polishes and filters _SLICE seeds at a time, visiting the
-lattice in residue order so that each slice spans the sphere; each key keeps
-its row of lowest lattice index, the row the whole-array pipeline keeps.
-These tests hold it to that pipeline (kept below as the reference), to the
-tensor's scale, and to a memory bound.
+The oracle seeds, polishes and filters _FIRST seeds and then _SLICE at a
+time, visiting the lattice in residue order so that each slice spans the
+sphere; each key keeps its row of lowest lattice index, the row the
+whole-array pipeline keeps.  These tests hold it to that pipeline (kept
+below as the reference), to the tensor's scale, and to memory bounds.
 """
 
 import time
@@ -15,7 +15,7 @@ import pytest
 
 from octupolar import OrientedParams, eval_potential, from_rho_chi_K, oracle_critical_points
 from octupolar import _optim
-from octupolar._optim import (_PRESTEPS, _SLICE, _axx, _coefficients, _first_of_each,
+from octupolar._optim import (_FIRST, _PRESTEPS, _SLICE, _axx, _coefficients, _first_of_each,
                               canonical_flip, dedupe_classes, fibonacci_sphere,
                               find_critical_classes, merge_degenerate, newton_refine,
                               surface_gradient)
@@ -88,8 +88,8 @@ def test_lowest_index_row_wins_across_slices(monkeypatch):
 
     monkeypatch.setattr(_optim, "newton_refine", fake_newton)
     (x, lam), = find_critical_classes(a, samples)[0]
-    assert calls == [_SLICE, 5]
-    np.testing.assert_array_equal(x, x_star)           # seed 0, not seed _SLICE of the second slice
+    assert calls == [_FIRST, _SLICE + 5 - _FIRST]
+    np.testing.assert_array_equal(x, x_star)           # seed 0, not seed _FIRST of the second slice
     assert lam == eval_potential(a, x[None])[0]
 
 
@@ -127,3 +127,19 @@ def test_oracle_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6, f"{peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("samples", [100_000, 1_000_000])
+@pytest.mark.parametrize("i", [0, 3])
+def test_a_stopping_search_allocates_nothing_of_size_samples(i, samples):
+    # panel tensor 0 has five real classes and 3 seven; both stop after the first slice
+    a = panel_octupole(i).array
+    cached = fibonacci_sphere.cache_info().currsize
+    tracemalloc.start()
+    try:
+        oracle_critical_points(a, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, f"{peak / 1e6:.1f} MB"
+    assert fibonacci_sphere.cache_info().currsize == cached       # no lattice kept for this size

@@ -13,13 +13,14 @@ import pytest
 
 from octupolar import OrientedParams, from_rho_chi_K, full_topology, k_star, oracle_critical_points
 from octupolar import _optim
-from octupolar._optim import _SLICE, _complete, _nonreal_classes, find_critical_classes
+from octupolar._optim import _FIRST, _SLICE, _complete, _nonreal_classes, find_critical_classes
+from octupolar.tensors import symmetrize
 from test_oracle_snapshot import PANEL, panel_octupole
 from test_orient_snapshot import image
 
 PI = np.pi
 SAMPLES = 100_000
-SLICES = -(-SAMPLES // _SLICE)                     # 13
+SLICES = 1 + -(-(SAMPLES - _FIRST) // _SLICE)      # 14: one of _FIRST seeds, then 13 of _SLICE
 FIVE_CLASS = (0, 14, 17, 18, 19, 22)               # panel tensors with 5 classes; the rest have 7
 
 
@@ -170,6 +171,22 @@ def test_seeded_tensors_match_the_full_sweep(monkeypatch):
     for a, got, s in zip(tensors, stopped, slices):
         if s < 3:
             assert_same(got, outcome(a, samples))
+
+
+def test_random_tensors_stop_after_one_slice_and_match_the_full_sweep(monkeypatch):
+    # symmetrized standard normal tensors (the Kostlan ensemble of ternary cubics)
+    rng = np.random.default_rng(0)
+    tensors = [symmetrize(rng.normal(size=(3, 3, 3))) for _ in range(10)]
+    samples = 3 * _SLICE
+    calls = count_slices(monkeypatch)
+    stopped = []
+    for a in tensors:
+        calls.clear()
+        stopped.append(outcome(a, samples))
+        assert len(calls) == 1
+    full_sweep(monkeypatch)
+    for a, got in zip(tensors, stopped):
+        assert_same(got, outcome(a, samples))
 
 
 def test_degenerate_classes_never_stop_the_search(monkeypatch):
