@@ -148,10 +148,11 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     """Damped Newton on the bordered system in (x, lam), batched over rows.
 
     Equations: 3 A x^2 - 3 lam x = 0 for a symmetric tensor a, together with
-    the unit-norm constraint row (|x|^2 - 1)/2 = 0.  A step is halved, up
-    to 8 times, whenever it increases the residual norm; a row whose step
-    is still rejected then keeps its point and stops.  Returns the rows
-    (n, 3) and lam = A x^3.
+    the unit-norm constraint row (|x|^2 - 1)/2 = 0.  A step that increases
+    the residual norm is halved, up to 8 times, until it does not; all 8
+    halvings of all such rows are evaluated at once.  A row whose step is
+    still rejected then keeps its point and stops.  Returns the rows (n, 3)
+    and lam = A x^3.
 
     ``a`` is one tensor (3, 3, 3) for all rows or one per row (n, 3, 3, 3);
     rows never interact, so the rows of many tensors can share one call.
@@ -176,20 +177,16 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
         dx, dl = _bordered_step(ca, xa, la, ga)
         xt, lt = xa + dx, la + dl
         worse = np.flatnonzero(_bordered(ba, xt, lt)[1] > gna)
-        scale = 1.0
-        for _half in range(8):
-            if worse.size == 0:
-                break
-            scale *= 0.5
-            xs = xa[:, worse] + scale * dx[:, worse]
-            ls = la[worse] + scale * dl[worse]
-            better = _bordered(_rows(ba, worse), xs, ls)[1] <= gna[worse]
-            idx = worse[better]
-            xt[:, idx] = xs[:, better]
-            lt[idx] = ls[better]
-            worse = worse[~better]
-        xt[:, worse] = xa[:, worse]
-        lt[worse] = la[worse]
+        if worse.size:     # every halving 2^-1 ... 2^-8 of every rejected step in one evaluation
+            xs = xa[:, worse, None] + _HALVINGS * dx[:, worse, None]       # columns (row, halving)
+            ls = la[worse, None] + _HALVINGS * dl[worse, None]
+            norms = _bordered(_rows(ba, np.repeat(worse, _HALVINGS.size)), xs.reshape(3, -1), ls.ravel())[1]
+            better = norms.reshape(ls.shape) <= gna[worse, None]
+            at = np.arange(worse.size), better.argmax(axis=1)     # each row's first good scale
+            ok = better[at]
+            xt[:, worse] = np.where(ok, xs[:, at[0], at[1]], xa[:, worse])
+            lt[worse] = np.where(ok, ls[at], la[worse])
+            worse = worse[~ok]
         stuck = worse
         xa, la = xt, lt
         nrm = np.sqrt((xa * xa).sum(0))
@@ -199,6 +196,7 @@ def newton_refine(a: np.ndarray, x: np.ndarray, lam: np.ndarray,
     return x.T, _value(b, x)
 
 
+_HALVINGS = 0.5 ** np.arange(1, 9)   # the scales of a rejected step in newton_refine
 _DEGEN_REL = 1e-7        # relative size of a negligible tangent-Hessian eigenvalue
 _FLIP_TOL = 1e-9         # |coordinate| that canonical_flip counts as zero
 _MERGE_RADIUS = 1e-4     # merge_degenerate's cluster radius
@@ -453,17 +451,17 @@ def _classes(a: np.ndarray, x: np.ndarray, lam: np.ndarray):
 
 
 def cubic_map(b: np.ndarray, c: np.ndarray):
-    """The map y -> A y^2 of a symmetric cubic, and its Jacobian y -> 2 A y as rows (n, 3, 3)."""
-    return (lambda y: _axx(b, y)), (lambda y: 2.0 * _ax(c, y)[_JK].transpose(2, 0, 1))
+    """The map y -> A y^2 of a symmetric cubic, and the map to it and its Jacobian 2 A y as rows (n, 3, 3)."""
+    return (lambda y: _axx(b, y)), (lambda y: (_axx(b, y), 2.0 * _ax(c, y)[_JK].transpose(2, 0, 1)))
 
 
 def _bordered_system(gmap, y: np.ndarray, mu: np.ndarray):
     """Residual (g(y) - mu y, (y^T y - 1)/2), shape (n, 4), and Jacobian (n, 4, 4) at the columns of y."""
-    g, dg = gmap
-    f = np.concatenate((g(y) - mu * y, 0.5 * ((y * y).sum(0, keepdims=True) - 1.0))).T
+    gy, dg = gmap[1](y)
+    f = np.concatenate((gy - mu * y, 0.5 * ((y * y).sum(0, keepdims=True) - 1.0))).T
     jac = np.zeros((y.shape[1], 4, 4), dtype=f.dtype)
-    jac[:, :3, :3] = dg(y)
-    jac[:, [0, 1, 2], [0, 1, 2]] -= mu[:, None]
+    jac[:, :3, :3] = dg
+    jac.reshape(-1, 16)[:, 0:11:5] -= mu[:, None]        # the diagonal of the 3x3 block
     jac[:, :3, 3], jac[:, 3, :3] = -y.T, y.T
     return f, jac
 
@@ -489,11 +487,11 @@ def _bordered_newton(gmap, y: np.ndarray, iters: int) -> tuple[np.ndarray, np.nd
     """Undamped Newton on (g(y) - mu y, (y^T y - 1)/2) from the rows y (n, 3), real or complex.
 
     ``gmap`` is a pair of functions of columns y (3, n): g, to (3, n), and
-    its Jacobian, to rows (n, 3, 3), e.g. `cubic_map`.  Each row starts at
-    y / sqrt(y^T y) with mu = y^T g(y), and stops once its residual or its
-    step is at most 1e-15 (max norm), or when its Jacobian is non-finite or
-    exactly singular; at most ``iters`` steps.  Returns (y (n, 3), mu (n,))
-    where each row stopped, y scaled to y^T y = 1.
+    y -> (g, its Jacobian as rows (n, 3, 3)), e.g. `cubic_map`.  Each row
+    starts at y / sqrt(y^T y) with mu = y^T g(y), and stops once its
+    residual or its step is at most 1e-15 (max norm), or when its Jacobian
+    is non-finite or exactly singular; at most ``iters`` steps.  Returns
+    (y (n, 3), mu (n,)) where each row stopped, y scaled to y^T y = 1.
     """
     y = y.T / np.sqrt((y * y).sum(1))
     mu = (y * gmap[0](y)).sum(0)

@@ -22,6 +22,7 @@ cubic form, and the top one feeds the incremental rank-one approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -703,12 +704,6 @@ class CEigenTriple:
     y: np.ndarray
 
 
-def _check_piezo(a: np.ndarray, tol: float = 1e-10) -> None:
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    if np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > tol * scale:
-        raise ValueError("tensor must be symmetric in its last two indices")
-
-
 #: the fixed generic rotation R of the chart y ~ R (u, v, 1)
 _CHART_ROTATION = np.linalg.qr(np.array([[0.48, -0.61, 0.12], [0.73, 0.27, -0.55],
                                          [-0.21, 0.66, 0.83]]))[0]
@@ -717,6 +712,22 @@ _CROWD = 1e-2            # relative gap below which u roots form a crowd, and it
 _RANK_ONE = 1e-10        # relative second singular value of a numerically rank-one unfolding
 _NEAR = 0.1              # relative singular value of a nearly degenerate unfolding
 _CEIGEN_GATE = 1e-10     # lam / |A| of the smallest triple kept
+
+
+@cache
+def _chart_grid(m: int):
+    """The fixed part of `_chart_points` for degree m, read-only: the chart points w (3, nu, m + 2)
+    at |v| = 1 and their rotations R w, the flat positions of the Sylvester bands of E1 and E2,
+    and the powers _CHART_RADIUS^k that rescale the determinant's FFT."""
+    nv, nu, side = m + 2, 2 * (m + 1) ** 2, 2 * m + 1
+    u = _CHART_RADIUS * np.exp(2j * np.pi * np.arange(nu) / nu)
+    w = np.stack(np.broadcast_arrays(u[:, None], np.exp(2j * np.pi * np.arange(nv) / nv), 1.0))
+    rows = (side + 1) * np.arange(m + 1)[:, None]          # each band moves one place per row
+    parts = (w, _CHART_ROTATION @ w.reshape(3, -1), rows + np.arange(m + 1),
+             rows[:m] + side * (m + 1) + np.arange(m + 2), _CHART_RADIUS ** np.arange(nu))
+    for v in parts:
+        v.flags.writeable = False
+    return parts
 
 
 def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.ndarray:
@@ -729,8 +740,8 @@ def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.
     |v| = max(1, |u|).  Their (2m + 1)-square Sylvester determinant is a
     polynomial in u whose roots are the u of the solutions, so its degree is
     their number, count_bound(m + 1, 3) = m^2 + m + 1; it comes from one
-    stacked `det` at 2 (m + 1)^2 points of |u| = _CHART_RADIUS and one FFT,
-    and its higher coefficients, rounding only, are dropped.
+    stacked `det` at 2 (m + 1)^2 points of |u| = _CHART_RADIUS (`_chart_grid`)
+    and one FFT, and its higher coefficients, rounding only, are dropped.
 
     Each real u root (``realness``, as in `_real_eigs`) gives every real
     root v of E2(u, .) at which |E1| is at most ``small`` against the terms
@@ -741,24 +752,18 @@ def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.
     gate; m only sets the array sizes.
     """
     rot = _CHART_ROTATION
-    nv, nu = m + 2, 2 * (m + 1) ** 2
+    w, rw, e1_at, e2_at, radius_pow = _chart_grid(m)
+    nv, nu, unit = m + 2, w.shape[1], w[1, 0]
 
-    unit = np.exp(2j * np.pi * np.arange(nv) / nv)
+    def in_v(w, rw):    # coefficients in z = v / r, ascending: E1 (k, m + 1) and E2 (k, m + 2) at each u
+        big = (rot.T @ g(rw)).reshape(w.shape)
+        e = np.fft.fft(big[:2] - w[:2] * big[2], axis=2) / nv
+        return e[0, :, :m + 1], e[1]
 
-    def in_v(u, r):     # coefficients in z = v / r, ascending: E1 (k, m + 1) and E2 (k, m + 2) at each u
-        w = np.ones((3, u.size, nv), dtype=complex)
-        w[0], w[1] = u[:, None], r[:, None] * unit
-        big = (rot.T @ g(rot @ w.reshape(3, -1))).reshape(w.shape)
-        e1 = np.fft.fft(big[0] - w[0] * big[2], axis=1)[:, :m + 1] / nv
-        return e1, np.fft.fft(big[1] - w[1] * big[2], axis=1) / nv
-
-    u = _CHART_RADIUS * np.exp(2j * np.pi * np.arange(nu) / nu)
-    e1, e2 = in_v(u, np.ones(nu))
-    syl = np.zeros((nu, 2 * m + 1, 2 * m + 1), dtype=complex)
-    band = np.arange(m + 1)[:, None] + np.arange(m + 1)
-    syl[:, np.arange(m + 1)[:, None], band] = e1[:, None]
-    syl[:, m + 1 + np.arange(m)[:, None], band[:m, :1] + np.arange(m + 2)] = e2[:, None]
-    res = np.fft.fft(np.linalg.det(syl)).real / nu / _CHART_RADIUS ** np.arange(nu)
+    e1, e2 = in_v(w, rw)
+    syl = np.zeros((nu, (2 * m + 1) ** 2), dtype=complex)
+    syl[:, e1_at], syl[:, e2_at] = e1[:, None], e2[:, None]
+    res = np.fft.fft(np.linalg.det(syl.reshape(nu, 2 * m + 1, -1))).real / nu / radius_pow
     lo, roots, real = _real_eigs(res[None, :m * m + m + 2], realness, trim=1e-15)
     roots, real = roots[0], real[0]
     near = np.abs(roots.imag) <= _CROWD * (1.0 + np.abs(roots.real))
@@ -768,7 +773,8 @@ def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.
     u = np.concatenate((np.zeros(min(lo[0], 1)), roots[take].real))
     crowd = np.concatenate((np.zeros(min(lo[0], 1), dtype=bool), crowd[take]))
     r = np.maximum(1.0, np.abs(u))          # v grows with u near the chart's horizon w3 = 0
-    e1, e2 = (c.real for c in in_v(u.astype(complex), r))
+    w = np.stack(np.broadcast_arrays(u[:, None], r[:, None] * unit, 1.0))
+    e1, e2 = (c.real for c in in_v(w, rot @ w.reshape(3, -1)))
     lo, roots, real = _real_eigs(e2, realness)
     real |= crowd[:, None] & (np.abs(roots.imag) <= _CROWD * (1.0 + np.abs(roots.real)))
     z = np.column_stack((np.where(lo > 0, 0.0, np.nan), np.where(real, roots.real, np.nan)))
@@ -782,25 +788,22 @@ def _chart_points(g, m: int, realness: float = 1e-6, small: float = 1e-4) -> np.
 
 
 def _piezo_parts(a: np.ndarray, y: np.ndarray):
-    """(A_i y)_j of shape (3, 3, n) and A : yy of shape (3, n) at the columns of y (3, n)."""
+    """(A_i y)_j (3, 3, n), c = A : yy (3, n) and c . A y (3, n) at the columns of y (3, n)."""
     ay = (a.reshape(9, 3) @ y).reshape(3, 3, -1)
-    return ay, (ay * y).sum(1)
+    c = (ay * y).sum(1)
+    return ay, c, (c[:, None] * ay).sum(0)
 
 
 def _piezo_map(a: np.ndarray):
-    """The map y -> grad q / 4 = (A : yy) . A y of q(y) = |A : yy|^2, and its Jacobian.
+    """The map y -> grad q / 4 = (A : yy) . A y of q(y) = |A : yy|^2, and y -> (it, its Jacobian).
 
     The Jacobian at c = A : yy is M(c) + 2 sum_i (A_i y)(A_i y)^T, M(c) = sum_i c_i A_i.
     """
-    def g(y):
-        ay, c = _piezo_parts(a, y)
-        return (c[:, None] * ay).sum(0)
-
-    def dg(y):
-        ay, c = _piezo_parts(a, y)
+    def g_dg(y):
+        ay, c, gy = _piezo_parts(a, y)
         t = ay.transpose(2, 0, 1)                       # (A_i y)_j per row
-        return (c.T @ a.reshape(3, 9)).reshape(-1, 3, 3) + 2.0 * (t.transpose(0, 2, 1) @ t)
-    return g, dg
+        return gy, (c.T @ a.reshape(3, 9)).reshape(-1, 3, 3) + 2.0 * (t.transpose(0, 2, 1) @ t)
+    return (lambda y: _piezo_parts(a, y)[2]), g_dg
 
 
 def _ceigen_candidates(s: np.ndarray) -> np.ndarray:
@@ -824,6 +827,29 @@ def _ceigen_candidates(s: np.ndarray) -> np.ndarray:
     return np.concatenate((q_vectors, y)) if sv[1] <= _NEAR * sv[0] else y
 
 
+def _piezo_input(t, starts: int) -> np.ndarray:
+    """The component array of t, checked to be symmetric in its last two indices (1e-10 relative)."""
+    a = as_array(t)
+    if np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 1e-10 * max(float(np.max(np.abs(a))), 1e-300):
+        raise ValueError("tensor must be symmetric in its last two indices")
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
+    return a
+
+
+def _ceigen_rows(s: np.ndarray):
+    """`c_eigenpairs` of s, max |s| in [1/2, 1), as rows lam, x, y before its sort, flip and dedupe."""
+    norm_s = float(np.sqrt(np.einsum("ijk,ijk->", s, s)))
+    y = _optim._bordered_newton(_piezo_map(s), _ceigen_candidates(s), 16)[0]
+    ay, c, _ = _piezo_parts(s, y.T)
+    lam = np.sqrt((c * c).sum(0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = c / lam
+        res = np.abs((x[:, None] * ay).sum(0) - lam * y.T).max(0)    # A : yy = lam x by construction
+    ok = (res <= 1e-8 * max(1.0, norm_s)) & (lam > _CEIGEN_GATE * norm_s)
+    return lam[ok], x[:, ok].T, y[ok]
+
+
 def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
     """Every stationary triple of x . A[y (x) y] with lam > 0, from one chart solve.
 
@@ -843,40 +869,36 @@ def c_eigenpairs(t, starts: int = 64) -> list[CEigenTriple]:
 
     ``starts`` is accepted and validated for compatibility but unused.
     """
-    a = as_array(t)
-    _check_piezo(a)
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
-    peak = np.max(np.abs(a))
-    if peak == 0.0:
+    a = _piezo_input(t, starts)
+    if not a.any():
         return []
-    e = np.frexp(peak)[1]
+    e = np.frexp(np.max(np.abs(a)))[1]
     s = np.ldexp(a, -e)
-    norm_s = float(np.sqrt(np.einsum("ijk,ijk->", s, s)))
-    y = _optim._bordered_newton(_piezo_map(s), _ceigen_candidates(s), 16)[0]
-    ay, c = _piezo_parts(s, y.T)
-    lam = np.sqrt((c * c).sum(0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = c / lam
-        res = np.abs((x[:, None] * ay).sum(0) - lam * y.T).max(0)    # A : yy = lam x by construction
-    ok = (res <= 1e-8 * max(1.0, norm_s)) & (lam > _CEIGEN_GATE * norm_s)
-    lam, x, y = lam[ok], x[:, ok].T, y[ok]
+    lam, x, y = _ceigen_rows(s)
     order = np.argsort(-lam, kind="stable")
     lam, x, y = lam[order], x[order], y[order]
     y[_optim.canonical_flip(y)] *= -1.0
+    norm_s = np.sqrt(np.einsum("ijk,ijk->", s, s))
     keep, _ = _optim.dedupe_rows(np.zeros(lam.size, dtype=int), y, lam / norm_s,
                                  np.ones(lam.size, dtype=int), tol=1e-6)
     return [CEigenTriple(lam=float(np.ldexp(l, e)), x=xi, y=yi)
             for l, xi, yi in zip(lam[keep], x[keep], y[keep])]
 
 
+def _top_triple(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """`c_eigenpairs(a)[0]` of a checked tensor: the first row of largest lam, which the sort puts
+    first and the dedupe keeps, is the only one taken and flipped."""
+    e = np.frexp(np.max(np.abs(a)))[1]
+    lam, x, y = _ceigen_rows(np.ldexp(a, -e)) if a.any() else (np.empty(0),) * 3
+    if lam.size == 0:
+        raise RuntimeError("no stationary triple found")
+    i = np.argmax(lam)
+    return float(np.ldexp(lam[i], e)), x[i], -y[i] if _optim.canonical_flip(y[i:i + 1])[0] else y[i]
+
+
 def best_rank_one(t, starts: int = 64) -> tuple[float, np.ndarray, np.ndarray]:
     """Best approximation lam x (x) y (x) y in the Frobenius norm."""
-    triples = c_eigenpairs(t, starts=starts)
-    if not triples:
-        raise RuntimeError("no stationary triple found")
-    top = triples[0]
-    return top.lam, top.x, top.y
+    return _top_triple(_piezo_input(t, starts))
 
 
 def incremental_rank_one(t, max_terms: int = 13, starts: int = 64,
@@ -886,13 +908,13 @@ def incremental_rank_one(t, max_terms: int = 13, starts: int = 64,
     Returns (terms, residuals): the extracted (lam, x, y) triples and the
     Frobenius norm of the remainder after each step (non-increasing).
     """
-    a = as_array(t).copy()
+    a = _piezo_input(t, starts).copy()
     norm0 = float(np.sqrt(np.einsum("ijk,ijk->", a, a)))
     terms, residuals = [], []
     for _ in range(max_terms):
         if np.sqrt(np.einsum("ijk,ijk->", a, a)) <= rel_tol * max(norm0, 1e-300):
             break
-        lam, x, y = best_rank_one(a, starts=starts)
+        lam, x, y = _top_triple(a)
         terms.append((lam, x, y))
         a = a - lam * np.einsum("i,j,k->ijk", x, y, y)
         residuals.append(float(np.sqrt(np.einsum("ijk,ijk->", a, a))))

@@ -232,6 +232,15 @@ class TestDegenerate:
         for y, lam in want:
             assert sum(same_class(t, y, lam) for t in got) == 1
 
+    # draws of the (1, 0.5, 0.1) weights whose small-lam classes the chart misses: their
+    # u roots are ill-conditioned next to a tight cluster of classes
+    @pytest.mark.parametrize("k", [
+        pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=f"c_eigenpairs finds {n} of 13"))
+        for k, n in ((231, 12), (527, 10))])
+    def test_three_term_draws_with_small_classes_missed(self, k):
+        a = orthogonal(THREE_TERM[2], np.random.default_rng([22, 2, k]))
+        assert len(c_eigenpairs(a)) == len(dense_classes(a)) == count_bound(4, 3)
+
     def test_zero_tensor_has_no_triple(self):
         assert c_eigenpairs(np.zeros((3, 3, 3))) == []
         with pytest.raises(RuntimeError):
